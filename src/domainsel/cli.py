@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE",
                         help="JSON config; defaults apply when omitted")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers within a stage")
+                        help="parallel workers within a stage, at least 1")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the master seed")
 
@@ -112,6 +112,8 @@ def _copy_report(ws: Workspace, out_dir: str) -> None:
 
 
 def run(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     resolved = _load(args)
     mode = resolved["data"]["mode"]
     if args.command in ("ingest", "synth") and mode != args.command:

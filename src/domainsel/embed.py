@@ -1,8 +1,10 @@
 """Skipgram word embeddings and sentence embedding providers.
 
-Word vectors are trained per domain with negative sampling so that the
-word-vector-variance feature can compare coordinates across domains (both
-sides must use the same seed and hyperparameters). Sentence vectors come
+Word vectors are trained with negative sampling, once on the merged corpus
+and once per domain. The pipeline seeds each per-domain table separately
+(`child_seed(seed, "table", name)`) over its own vocabulary, so coordinates
+are not aligned across domains and the word-vector-variance feature that
+compares them carries little signal (ROADMAP item 5). Sentence vectors come
 either from mean pooling a trained table or from a precomputed JSONL file
 keyed by record (so externally computed vectors can be dropped in).
 """
@@ -94,6 +96,34 @@ def _sgns_loss(w_in, w_out, centers, contexts, negatives):
     ) / len(centers)
 
 
+def _noise_cdf(noise):
+    """The CDF that `Generator.choice(p=noise)` builds on every call."""
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_negatives(rng, cdf, n):
+    """Draw n noise ids exactly as `rng.choice(len(cdf), size=n, p=noise)` does.
+
+    Consecutive draws concatenate: one draw of a + b ids equals a draw of a
+    followed by a draw of b, so a text's negatives can come in one block.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
+def _contexts(seq, window):
+    """Ids within `window` of each position (itself excluded), and their counts.
+
+    Contexts are grouped by center, in position order, and each in position
+    order too.
+    """
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    j = np.arange(len(seq))[:, None] + offsets
+    valid = (j >= 0) & (j < len(seq))
+    return seq[j[valid]], valid.sum(axis=1)
+
+
 def train_skipgram(
     corpus: DomainCorpus,
     dim: int,
@@ -133,44 +163,49 @@ def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, do
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     w_out = np.zeros((len(vocab), dim))
 
+    contexts = [_contexts(seq, window) for seq in ids]
+
     # Fixed probe batch for the loss curve, drawn before training.
-    probe_c, probe_x = [], []
-    for seq in ids:
-        for i in range(len(seq)):
-            lo, hi = max(0, i - window), min(len(seq), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    probe_c.append(seq[i])
-                    probe_x.append(seq[j])
-    if not probe_c:
+    probe_c = np.concatenate([np.repeat(seq, n) for seq, (_, n) in zip(ids, contexts)])
+    probe_x = np.concatenate([ctx for ctx, _ in contexts])
+    if len(probe_c) == 0:
         raise ValidationError("skipgram corpus has no context pairs (texts too short)")
-    probe_c = np.array(probe_c)
-    probe_x = np.array(probe_x)
     keep = min(len(probe_c), 512)
     pick = rng.choice(len(probe_c), size=keep, replace=False)
     probe_c, probe_x = probe_c[pick], probe_x[pick]
     probe_neg = rng.choice(len(vocab), size=(keep, negatives), p=noise)
 
     losses = [_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg)]
+    cdf = _noise_cdf(noise)
+    # Row-major cells of w_out, so that one 1-D np.add.at applies a center's
+    # context rows then its negative rows in the order two row-wise calls would.
+    flat_out = w_out.reshape(-1)
+    cols = np.arange(dim)
     total_centers = epochs * sum(len(seq) for seq in ids)
     done = 0
     for _epoch in range(epochs):
-        for seq in ids:
-            for i in range(len(seq)):
+        for seq, (ctx_all, n_ctx) in zip(ids, contexts):
+            # One block of negatives per text, sliced per center in order.
+            neg_all = _draw_negatives(rng, cdf, len(ctx_all) * negatives)
+            a = 0
+            for c, k in zip(seq.tolist(), n_ctx.tolist()):
                 lr = LR_START + (LR_END - LR_START) * (done / total_centers)
                 done += 1
-                lo, hi = max(0, i - window), min(len(seq), i + window + 1)
-                ctx = np.concatenate([seq[lo:i], seq[i + 1 : hi]])
-                if len(ctx) == 0:
+                if k == 0:
                     continue
-                c = seq[i]
-                neg = rng.choice(len(vocab), size=len(ctx) * negatives, p=noise)
+                rows = np.concatenate([ctx_all[a : a + k],
+                                       neg_all[a * negatives : (a + k) * negatives]])
+                a += k
                 v = w_in[c]
-                g_pos = _sigmoid(w_out[ctx] @ v) - 1.0  # (K,)
-                g_neg = _sigmoid(w_out[neg] @ v)  # (K*negatives,)
-                grad_v = g_pos @ w_out[ctx] + g_neg @ w_out[neg]
-                np.add.at(w_out, ctx, -lr * g_pos[:, None] * v)
-                np.add.at(w_out, neg, -lr * g_neg[:, None] * v)
+                out = w_out[rows]
+                out_ctx, out_neg = out[:k], out[k:]
+                # Two products, not one over `out`: BLAS may sum a row in
+                # another order when the matrix has more rows.
+                g = _sigmoid(np.concatenate([out_ctx @ v, out_neg @ v]))
+                g[:k] -= 1.0  # positive pairs: sigmoid - 1
+                grad_v = g[:k] @ out_ctx + g[k:] @ out_neg
+                np.add.at(flat_out, (rows[:, None] * dim + cols).ravel(),
+                          (-lr * g[:, None] * v).ravel())
                 w_in[c] = v - lr * grad_v
         losses.append(_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg))
 

@@ -39,40 +39,36 @@ def _sigmoid(x):
 
 
 def _build_tree(X, g, h, rows, depth, reg_lambda):
-    G = float(g[rows].sum())
-    H = float(h[rows].sum())
+    gr, hr = g[rows], h[rows]
+    G = float(gr.sum())
+    H = float(hr.sum())
     if depth == 0 or len(rows) < 2:
         return {"leaf": -G / (H + reg_lambda)}
 
-    best_gain = 0.0
-    best = None
-    parent_score = G * G / (H + reg_lambda)
-    for f in range(X.shape[1]):
-        x = X[rows, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cg = np.cumsum(g[rows][order])
-        ch = np.cumsum(h[rows][order])
-        cut = np.nonzero(xs[:-1] < xs[1:])[0]
-        if len(cut) == 0:
-            continue
-        GL, HL = cg[cut], ch[cut]
-        GR, HR = G - GL, H - HL
-        gains = 0.5 * (
-            GL * GL / (HL + reg_lambda)
-            + GR * GR / (HR + reg_lambda)
-            - parent_score
-        )
-        k = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = (f, float(xs[cut[k]]), order, cut[k])
-
-    if best is None:
+    # One split search for all features at once. Each column is ordered by
+    # a stable sort of this node's rows, so its prefix sums (and hence the
+    # gain bits) are those of a per-feature search over the same rows.
+    Xr = X[rows]
+    order = np.argsort(Xr, axis=0, kind="stable")
+    xs = np.take_along_axis(Xr, order, axis=0)
+    GL = np.cumsum(gr[order], axis=0)[:-1]
+    HL = np.cumsum(hr[order], axis=0)[:-1]
+    GR, HR = G - GL, H - HL
+    gains = 0.5 * (
+        GL * GL / (HL + reg_lambda)
+        + GR * GR / (HR + reg_lambda)
+        - G * G / (H + reg_lambda)
+    )
+    gains = np.where(xs[:-1] < xs[1:], gains, -np.inf)  # cut only between distinct values
+    col_best = gains.max(axis=0)
+    f = int(np.argmax(col_best))  # first max = lowest feature
+    best_gain = float(col_best[f])
+    if best_gain <= 0.0:
         return {"leaf": -G / (H + reg_lambda)}
-    f, threshold, order, k = best
-    left_rows = rows[order[: k + 1]]
-    right_rows = rows[order[k + 1 :]]
+    k = int(np.argmax(gains[:, f]))  # first max = lowest threshold
+    threshold = float(xs[k, f])
+    left_rows = rows[order[: k + 1, f]]
+    right_rows = rows[order[k + 1 :, f]]
     return {
         "feature": f,
         "threshold": threshold,

@@ -192,9 +192,14 @@ def domain_ranker(samples, split: LotoSplit, params: GBDTParams = GBDTParams(),
     y = np.array([float(s.label) for s in train])
     model = gbdt_train_cv(X, y, params, feature_names=RANKER_FEATURE_NAMES)
 
+    # Score every held-out pair once; the comparator only looks them up.
+    pairs = list(test)
+    probs = model.predict_proba(np.array([test[pair].features for pair in pairs]))
+    prob_of = dict(zip(pairs, probs.tolist()))
+
     def prefers(a: str, b: str) -> bool:
         s1, s2 = (a, b) if a < b else (b, a)
-        p = float(model.predict_proba(test[(s1, s2)].features[None, :])[0])
+        p = prob_of[(s1, s2)]
         return p >= 0.5 if a == s1 else p < 0.5
 
     candidates = sorted({s for key in split.test for s in key[:2]})

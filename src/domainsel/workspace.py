@@ -50,14 +50,6 @@ class Workspace:
             f.write("\n")
         os.replace(tmp, path)
 
-    def is_current(self, rel: str, stage_hash: str) -> bool:
-        entry = self.load_manifest()["artifacts"].get(rel)
-        return (
-            entry is not None
-            and entry.get("hash") == stage_hash
-            and self.path(rel).exists()
-        )
-
 
 @dataclass
 class Job:

@@ -208,6 +208,14 @@ class TestErrors:
         assert rc == 1
         assert "data.mode 'ingest'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        ws = tmp_path / "ws"
+        rc = main(["synth", "--workspace", str(ws), "--jobs", jobs])
+        assert rc == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not ws.exists()
+
     def test_meta_variant_not_configured(self, world, tmp_path, capsys):
         _, cfg_path = world
         rc = main(["meta", "--workspace", str(tmp_path / "ws"),

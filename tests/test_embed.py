@@ -3,8 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from domainsel.corpus import DomainCorpus, TextPairExample
-from domainsel.embed import EmbeddingTable, SentenceEmbeddingProvider, train_skipgram
+from domainsel.corpus import DomainCorpus, TextPairExample, tokenize
+from domainsel.embed import (
+    LR_END,
+    LR_START,
+    EmbeddingTable,
+    SentenceEmbeddingProvider,
+    _draw_negatives,
+    _noise_cdf,
+    _sgns_loss,
+    _sigmoid,
+    train_skipgram,
+)
 from domainsel.errors import ValidationError
 
 
@@ -71,6 +81,105 @@ class TestTrainSkipgram:
         corpus = DomainCorpus("s", examples, splits=("train",) * 4 + ("test",))
         table = train_skipgram(corpus, dim=4, seed=0)
         assert "heldout" not in table
+
+
+def _reference_skipgram(token_lists, dim, window, negatives, epochs, seed):
+    """Per-center training loop: negatives from rng.choice, row-wise np.add.at.
+
+    train_skipgram must reproduce its table and loss curve bit for bit.
+    """
+    counts = {}
+    for toks in token_lists:
+        for t in toks:
+            counts[t] = counts.get(t, 0) + 1
+    vocab = sorted(counts)
+    index = {t: i for i, t in enumerate(vocab)}
+    ids = [np.array([index[t] for t in toks], dtype=np.int64) for toks in token_lists]
+    noise = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+
+    rng = np.random.default_rng(seed)
+    w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
+    w_out = np.zeros((len(vocab), dim))
+    probe_c, probe_x = [], []
+    for seq in ids:
+        for i in range(len(seq)):
+            for j in range(max(0, i - window), min(len(seq), i + window + 1)):
+                if j != i:
+                    probe_c.append(seq[i])
+                    probe_x.append(seq[j])
+    keep = min(len(probe_c), 512)
+    pick = rng.choice(len(probe_c), size=keep, replace=False)
+    probe = (np.array(probe_c)[pick], np.array(probe_x)[pick],
+             rng.choice(len(vocab), size=(keep, negatives), p=noise))
+    losses = [_sgns_loss(w_in, w_out, *probe)]
+
+    total_centers = epochs * sum(len(seq) for seq in ids)
+    done = 0
+    for _epoch in range(epochs):
+        for seq in ids:
+            for i in range(len(seq)):
+                lr = LR_START + (LR_END - LR_START) * (done / total_centers)
+                done += 1
+                lo, hi = max(0, i - window), min(len(seq), i + window + 1)
+                ctx = np.concatenate([seq[lo:i], seq[i + 1 : hi]])
+                if len(ctx) == 0:
+                    continue
+                c = seq[i]
+                neg = rng.choice(len(vocab), size=len(ctx) * negatives, p=noise)
+                v = w_in[c]
+                g_pos = _sigmoid(w_out[ctx] @ v) - 1.0
+                g_neg = _sigmoid(w_out[neg] @ v)
+                grad_v = g_pos @ w_out[ctx] + g_neg @ w_out[neg]
+                np.add.at(w_out, ctx, -lr * g_pos[:, None] * v)
+                np.add.at(w_out, neg, -lr * g_neg[:, None] * v)
+                w_in[c] = v - lr * grad_v
+        losses.append(_sgns_loss(w_in, w_out, *probe))
+    return w_in, tuple(losses)
+
+
+class TestBlockNegativeSampling:
+    NOISE = np.array([7.0, 1.0, 3.0, 3.0, 12.0, 2.0]) ** 0.75
+    NOISE /= NOISE.sum()
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_draws_match_rng_choice(self, seed):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        cdf = _noise_cdf(self.NOISE)
+        for size in (5, 1, 0, 40, 13, 250):
+            np.testing.assert_array_equal(
+                _draw_negatives(ours, cdf, size),
+                theirs.choice(len(self.NOISE), size=size, p=self.NOISE),
+            )
+
+    def test_one_block_equals_consecutive_draws(self):
+        cdf = _noise_cdf(self.NOISE)
+        sizes = (10, 0, 35, 5)
+        block = _draw_negatives(np.random.default_rng(4), cdf, sum(sizes))
+        rng = np.random.default_rng(4)
+        parts = [rng.choice(len(self.NOISE), size=k, p=self.NOISE) for k in sizes]
+        np.testing.assert_array_equal(block, np.concatenate(parts))
+
+    @pytest.mark.parametrize("window,negatives,epochs", [(2, 5, 2), (1, 3, 3), (5, 1, 1)])
+    def test_tables_match_per_center_sampling(self, window, negatives, epochs):
+        texts = ["x y z x", "solo", "y w w z x y", "z", "w x y z w x y z", "y"]
+        table = train_skipgram(pair_corpus(texts), dim=6, window=window,
+                               negatives=negatives, epochs=epochs, seed=9)
+        token_lists = [tokenize(t) for t in pair_corpus(texts).texts(None)]
+        want, want_losses = _reference_skipgram(token_lists, 6, window, negatives,
+                                                epochs, seed=9)
+        np.testing.assert_array_equal(table.matrix, want)
+        assert table.loss_curve == want_losses
+
+    def test_one_token_texts_train_deterministically(self):
+        # Centers of 1-token texts have no context and draw no negatives.
+        corpus = pair_corpus(["alpha", "beta gamma alpha", "gamma", "beta"] * 3)
+        a = train_skipgram(corpus, dim=5, window=2, epochs=2, seed=11)
+        b = train_skipgram(corpus, dim=5, window=2, epochs=2, seed=11)
+        assert a.tokens == ("alpha", "beta", "gamma")
+        assert np.all(np.isfinite(a.matrix))
+        np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 class TestEmbeddingTableIO:

@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from domainsel import gbdt
 from domainsel.errors import ValidationError
 from domainsel.gbdt import (
     GBDTModel,
@@ -260,3 +265,77 @@ class TestPersistence:
         blob = json.loads(path.read_text())
         assert blob["n_features"] == 1
         assert len(blob["trees"]) == 2
+
+
+def _reference_build_tree(X, g, h, rows, depth, reg_lambda):
+    """Split search one feature at a time; the vectorized search must match it."""
+    G = float(g[rows].sum())
+    H = float(h[rows].sum())
+    if depth == 0 or len(rows) < 2:
+        return {"leaf": -G / (H + reg_lambda)}
+
+    best_gain = 0.0
+    best = None
+    parent_score = G * G / (H + reg_lambda)
+    for f in range(X.shape[1]):
+        x = X[rows, f]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        cg = np.cumsum(g[rows][order])
+        ch = np.cumsum(h[rows][order])
+        cut = np.nonzero(xs[:-1] < xs[1:])[0]
+        if len(cut) == 0:
+            continue
+        GL, HL = cg[cut], ch[cut]
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (
+            GL * GL / (HL + reg_lambda)
+            + GR * GR / (HR + reg_lambda)
+            - parent_score
+        )
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (f, float(xs[cut[k]]), order, cut[k])
+
+    if best is None:
+        return {"leaf": -G / (H + reg_lambda)}
+    f, threshold, order, k = best
+    left_rows = rows[order[: k + 1]]
+    right_rows = rows[order[k + 1 :]]
+    return {
+        "feature": f,
+        "threshold": threshold,
+        "gain": best_gain,
+        "left": _reference_build_tree(X, g, h, left_rows, depth - 1, reg_lambda),
+        "right": _reference_build_tree(X, g, h, right_rows, depth - 1, reg_lambda),
+    }
+
+
+@st.composite
+def tied_problems(draw):
+    """Small problems full of ties: few distinct values, constant columns,
+    duplicate rows, and both classes present."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 20))
+    values = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])
+    base = draw(arrays(np.float64, (draw(st.integers(1, n)), n_features), elements=values))
+    X = base[draw(arrays(np.int64, n, elements=st.integers(0, len(base) - 1)))]
+    for f in draw(st.lists(st.integers(0, n_features - 1), max_size=3)):
+        X[:, f] = draw(values)
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    y[:2] = [0.0, 1.0]
+    params = GBDTParams(trees=draw(st.integers(1, 4)), depth=draw(st.integers(1, 4)),
+                        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])))
+    return X, y, params
+
+
+class TestVectorizedSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_problems())
+    def test_trees_match_per_feature_search(self, problem):
+        X, y, params = problem
+        got = gbdt_train(X, y, params).trees
+        with mock.patch.object(gbdt, "_build_tree", _reference_build_tree):
+            want = gbdt_train(X, y, params).trees
+        assert json.dumps(got) == json.dumps(want)

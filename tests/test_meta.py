@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from domainsel.errors import ValidationError
-from domainsel.gbdt import GBDTParams
+from domainsel.gbdt import GBDTModel, GBDTParams
 from domainsel.meta import (
     LotoSplit,
     Ordering,
@@ -318,6 +318,36 @@ class TestDomainRanker:
                 )
                 n += 1
         assert ranker_total / n > random_total / n
+
+    def test_one_scoring_call_matches_per_pair_comparator(self, monkeypatch):
+        features, f1_means, _ = source_quality_world(DOMAINS, seed=7)
+        samples = build_ranker_samples(features, f1_means)
+        split = loto_splits(DOMAINS, "ranker")[1]
+        calls = []
+        predict_proba = GBDTModel.predict_proba
+
+        def counting(model, X):
+            calls.append(len(X))
+            return predict_proba(model, X)
+
+        monkeypatch.setattr(GBDTModel, "predict_proba", counting)
+        model, ordering = domain_ranker(samples, split, FAST, repeats=5, seed=3)
+        assert calls == [len(split.test)]
+
+        by_pair = {s.pair: s for s in samples if s.target == split.target}
+
+        def prefers(a, b):
+            s1, s2 = sorted((a, b))
+            p = float(predict_proba(model, by_pair[(s1, s2)].features[None, :])[0])
+            return p >= 0.5 if a == s1 else p < 0.5
+
+        candidates = sorted({s for key in split.test for s in key[:2]})
+        ranked = multi_sort(candidates, prefers, repeats=5, seed=3)
+        assert ordering == Ordering(
+            split.target,
+            tuple(item for item, _ in ranked),
+            tuple(pos for _, pos in ranked),
+        )
 
     def test_missing_sample_rejected(self):
         features, f1_means, _ = source_quality_world(DOMAINS, seed=6)
