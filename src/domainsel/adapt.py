@@ -215,7 +215,7 @@ class AdaptModel:
                 for layer in self.params["layers"]
             ]
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(blob, f)
+            f.write(json.dumps(blob))  # C encoder; json.dump uses the Python one
 
     @classmethod
     def load(cls, path) -> "AdaptModel":
@@ -285,6 +285,7 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
         w2 = rng.normal(0.0, 1.0 / np.sqrt(dk), size=(dk, dk))
         b2 = np.zeros(dk)
         opt = Adam([w1, b1, w2, b2], lr=cfg.sda_lr)
+        w1, b1, w2, b2 = opt.params  # views that opt.step updates in place
         curve = [_dae_loss(w1, b1, w2, b2, H, H)]
         for _epoch in range(cfg.sda_epochs):
             order = rng.permutation(n)

@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE",
                         help="JSON config; defaults apply when omitted")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers within a stage, at least 1")
+                        help="worker threads for the downstream stage, at least 1")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the master seed")
 

@@ -27,12 +27,14 @@ DEFAULT_SUCCESS_THRESHOLD = 0.8
 
 
 def pair_input(vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
-    """[a ; b ; |a-b| ; a*b], length 4d."""
+    """[a ; b ; |a-b| ; a*b] along the last axis: length 4d, or (n, 4d) rows."""
     a = np.asarray(vec_a, dtype=np.float64)
     b = np.asarray(vec_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"pair_input shapes differ: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b, np.abs(a - b), a * b])
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise ValidationError(
+            f"pair_input needs equal 1-d or 2-d shapes, got {a.shape} vs {b.shape}"
+        )
+    return np.concatenate([a, b, np.abs(a - b), a * b], axis=-1)
 
 
 def f1_score(predictions, labels) -> float:
@@ -109,15 +111,15 @@ def train_pair_classifier(
     n, d = X_train.shape
     h1, h2 = hidden
     rng = np.random.default_rng(seed)
-    params = [
+    opt = Adam([
         rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)),
         np.zeros(h1),
         rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)),
         np.zeros(h2),
         rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)),
         np.zeros(1),
-    ]
-    opt = Adam(params, lr=lr)
+    ], lr=lr)
+    params = opt.params  # views that opt.step updates in place
     model = PairClassifier(params, d, seed)
 
     def val_f1() -> float:

@@ -32,6 +32,8 @@ class GBDTParams:
             raise ValidationError("trees and depth must be >= 1")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be > 0")
+        if not self.reg_lambda >= 0:  # also rejects NaN
+            raise ValidationError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
 
 
 def _sigmoid(x):
@@ -142,7 +144,7 @@ class GBDTModel:
             "trees": self.trees,
         }
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(blob, f)
+            f.write(json.dumps(blob))  # C encoder; json.dump uses the Python one
 
     @classmethod
     def load(cls, path) -> "GBDTModel":

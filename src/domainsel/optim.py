@@ -1,28 +1,55 @@
-"""Minimal Adam optimizer over lists of numpy parameter arrays."""
+"""Minimal Adam optimizer (Kingma & Ba, ICLR 2015) over one flat buffer."""
 from __future__ import annotations
 
 import numpy as np
 
 
 class Adam:
+    """Adam over copies of `params` held in one float64 buffer.
+
+    Train through `self.params`, views of that buffer that `step` updates in
+    place; the arrays passed in are left untouched. Every element sees the
+    IEEE operations of a per-array update in the same order, so results are
+    bit-equal to it.
+    """
+
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params  # updated in place
+        arrays = [np.asarray(p, dtype=np.float64) for p in params]
+        self.flat = np.concatenate(arrays, axis=None)
+        self.params = []
+        offset = 0
+        for a in arrays:
+            self.params.append(self.flat[offset : offset + a.size].reshape(a.shape))
+            offset += a.size
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._num = np.empty_like(self.flat)
+        self._den = np.empty_like(self.flat)
 
     def step(self, grads) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        g, m, v, num, den = self._grad, self.m, self.v, self._num, self._den
+        np.concatenate(grads, axis=None, out=g)  # each gradient flattened
+        m *= b1
+        np.multiply(1.0 - b1, g, out=num)
+        m += num  # m = m*b1 + (1-b1)*g
+        v *= b2
+        np.multiply(1.0 - b2, g, out=num)
+        num *= g
+        v += num  # v = v*b2 + ((1-b2)*g)*g
+        np.divide(m, bias1, out=num)
+        num *= self.lr
+        np.divide(v, bias2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        self.flat -= num

@@ -103,7 +103,10 @@ def run_stage(ws: Workspace, stage: str, stage_hash: str, jobs,
 
     Jobs must be independent of each other; with n_jobs > 1 they run on a
     thread pool, which cannot change any numeric output because every job
-    derives its randomness from its own recorded seed.
+    derives its randomness from its own recorded seed. Threads pay only for
+    jobs that spend their time in long GIL-free numpy calls, so
+    `pipeline.run_pipeline` passes n_jobs to the downstream stage alone
+    (see `pipeline.POOLED_STAGES`).
     """
     manifest = ws.load_manifest()
     artifacts = manifest["artifacts"]

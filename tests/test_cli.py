@@ -184,6 +184,39 @@ class TestStageCommands:
         assert a != b
 
 
+VARIANTS_CONFIG = {
+    "seed": 5,
+    "data": {
+        "synth": {
+            "domains": 3, "topics": 4, "words_per_topic": 20,
+            "examples_per_domain": 24, "tokens_per_text": 6,
+            "mixture_concentration": 0.4, "noise": 0.05,
+        }
+    },
+    "embed": {"dim": 6, "epochs": 1},
+    "adapt": {"variants": ["none", "sda", "msda", "msdar"], "layers": 2,
+              "sda_epochs": 2},
+    "downstream": {"seeds": [0, 1], "max_epochs": 4, "hidden": [8, 4]},
+}
+
+
+def test_all_variants_byte_identical_under_threads(tmp_path):
+    """Downstream trains its variants on the thread pool; bytes must not move."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    hashes = {}
+    for jobs in ("1", "2"):
+        ws = tmp_path / f"ws{jobs}"
+        rc = main(["downstream", "--workspace", str(ws), "--config", str(cfg_path),
+                   "--jobs", jobs])
+        assert rc == 0
+        hashes[jobs] = tree_hashes(ws)
+    for variant in VARIANTS_CONFIG["adapt"]["variants"]:
+        assert f"downstream/f1_{variant}_mean.csv" in hashes["1"]
+    assert any(rel.startswith("adapt/sda/") for rel in hashes["1"])
+    assert hashes["2"] == hashes["1"]
+
+
 class TestErrors:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -33,6 +33,19 @@ class TestPairInput:
     def test_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shapes"):
             pair_input(np.ones(3), np.ones(4))
+        with pytest.raises(ValidationError, match="shapes"):
+            pair_input(np.ones((5, 3)), np.ones((4, 3)))
+        with pytest.raises(ValidationError, match="shapes"):
+            pair_input(np.ones((2, 5, 3)), np.ones((2, 5, 3)))
+
+    def test_row_block_matches_rows(self):
+        rng = np.random.default_rng(0)
+        for n, d in ((1, 1), (4, 3), (7, 16)):
+            a, b = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+            out = pair_input(a, b)
+            assert out.shape == (n, 4 * d)
+            for i in range(n):
+                np.testing.assert_array_equal(out[i], pair_input(a[i], b[i]))
 
 
 class TestF1Score:

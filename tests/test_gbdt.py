@@ -71,6 +71,18 @@ class TestTraining:
         with pytest.raises(ValidationError):
             GBDTParams(learning_rate=0.0)
 
+    @pytest.mark.parametrize("reg_lambda", [-1.0, -1e-12, float("nan")])
+    def test_negative_reg_lambda_rejected(self, reg_lambda):
+        # -1.0 on this 4-row problem used to divide by zero in _build_tree.
+        with pytest.raises(ValidationError, match="reg_lambda"):
+            gbdt_train(np.array([[0.0], [1.0], [2.0], [3.0]]),
+                       np.array([0.0, 0.0, 1.0, 1.0]), GBDTParams(reg_lambda=reg_lambda))
+
+    def test_zero_reg_lambda_accepted(self):
+        x, y = separable_1d()
+        model = gbdt_train(x, y, GBDTParams(trees=3, reg_lambda=0.0))
+        np.testing.assert_array_equal(model.predict(x), y)
+
     def test_predict_shape_mismatch_rejected(self):
         x, y = separable_1d()
         model = gbdt_train(x, y, GBDTParams(trees=2, depth=1))
