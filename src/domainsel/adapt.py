@@ -286,6 +286,7 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
         b2 = np.zeros(dk)
         opt = Adam([w1, b1, w2, b2], lr=cfg.sda_lr)
         w1, b1, w2, b2 = opt.params  # views that opt.step updates in place
+        g_w1, g_b1, g_w2, g_b2 = opt.grads  # views that opt.step reads
         curve = [_dae_loss(w1, b1, w2, b2, H, H)]
         for _epoch in range(cfg.sda_epochs):
             order = rng.permutation(n)
@@ -299,12 +300,12 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
                 out = w2 @ Z + b2[:, None]
                 err = out - clean  # d x m
                 g_out = 2.0 * err / (m * dk)
-                g_w2 = g_out @ Z.T
-                g_b2 = g_out.sum(axis=1)
+                np.matmul(g_out, Z.T, out=g_w2)
+                g_out.sum(axis=1, out=g_b2)
                 g_z = (w2.T @ g_out) * (1.0 - Z * Z)
-                g_w1 = g_z @ noisy.T
-                g_b1 = g_z.sum(axis=1)
-                opt.step([g_w1, g_b1, g_w2, g_b2])
+                np.matmul(g_z, noisy.T, out=g_w1)
+                g_z.sum(axis=1, out=g_b1)
+                opt.step()
             loss = _dae_loss(w1, b1, w2, b2, H, H)
             if not np.isfinite(loss):
                 raise ComputationError(

@@ -180,8 +180,15 @@ def _check_semantics(cfg: dict) -> None:
             )
     if not cfg["downstream"]["seeds"]:
         raise ValidationError("config key 'downstream.seeds' must not be empty")
-    if len(cfg["downstream"]["hidden"]) != 2:
-        raise ValidationError("config key 'downstream.hidden' must list two widths")
+    hidden = cfg["downstream"]["hidden"]
+    if len(hidden) != 2 or not all(_type_ok(w, 1) and w >= 1 for w in hidden):
+        raise ValidationError(
+            "config key 'downstream.hidden' must list two integer widths >= 1"
+        )
+    for key in ("downstream.batch", "adapt.sda_batch"):
+        section, name = key.split(".")
+        if cfg[section][name] < 1:
+            raise ValidationError(f"config key '{key}' must be >= 1")
     for pair in cfg["report"]["pca_pairs"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(

@@ -11,6 +11,7 @@ strictly.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -48,11 +49,23 @@ def f1_score(predictions, labels) -> float:
     tp = int(np.sum((pred == 1) & (y == 1)))
     fp = int(np.sum((pred == 1) & (y == 0)))
     fn = int(np.sum((pred == 0) & (y == 1)))
+    return _f1_from_counts(tp, fp, fn)
+
+
+def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
+
+
+def _forward(params, X: np.ndarray):
+    """Hidden activations z1, z2 and class-1 probabilities of X's rows."""
+    w1, b1, w2, b2, w3, b3 = params
+    z1 = np.tanh(X @ w1.T + b1)
+    z2 = np.tanh(z1 @ w2.T + b2)
+    return z1, z2, 1.0 / (1.0 + np.exp(-(z2 @ w3.T + b3)[:, 0]))
 
 
 class PairClassifier:
@@ -69,14 +82,32 @@ class PairClassifier:
             raise ValidationError(
                 f"classifier expects (n, {self.input_dim}) inputs, got {X.shape}"
             )
-        w1, b1, w2, b2, w3, b3 = self.params
-        z1 = np.tanh(X @ w1.T + b1)
-        z2 = np.tanh(z1 @ w2.T + b2)
-        logits = z2 @ w3.T + b3
-        return 1.0 / (1.0 + np.exp(-logits[:, 0]))
+        return _forward(self.params, X)[2]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=8)
+def _initial_state(seed: int, d: int, h1: int, h2: int):
+    """Initial weights of a (d, h1, h2) classifier and the generator state after them.
+
+    Every fit with the same key starts from the same draw, so it is made
+    once. The arrays are read-only (Adam copies them); restore the state
+    into a fresh generator, never mutate it.
+    """
+    rng = np.random.default_rng(seed)
+    init = (
+        rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)),
+        np.zeros(h1),
+        rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)),
+        np.zeros(h2),
+        rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)),
+        np.zeros(1),
+    )
+    for a in init:
+        a.flags.writeable = False
+    return init, rng.bit_generator.state
 
 
 def train_pair_classifier(
@@ -104,61 +135,61 @@ def train_pair_classifier(
         raise ValidationError("empty or misaligned training set")
     if len(X_val) == 0 or len(X_val) != len(y_val):
         raise ValidationError("empty or misaligned validation set")
+    if X_train.ndim != 2 or X_val.shape[1:] != X_train.shape[1:]:
+        raise ValidationError(
+            f"training rows {X_train.shape} and validation rows {X_val.shape} differ in width"
+        )
     classes = set(np.unique(y_train))
     if classes != {0.0, 1.0}:
         raise ValidationError(f"training set must contain both classes, got {classes}")
 
     n, d = X_train.shape
-    h1, h2 = hidden
+    init, state = _initial_state(seed, d, *hidden)
     rng = np.random.default_rng(seed)
-    opt = Adam([
-        rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)),
-        np.zeros(h1),
-        rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)),
-        np.zeros(h2),
-        rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)),
-        np.zeros(1),
-    ], lr=lr)
+    rng.bit_generator.state = state
+    opt = Adam(init, lr=lr)
     params = opt.params  # views that opt.step updates in place
-    model = PairClassifier(params, d, seed)
+    w2, w3 = params[2], params[4]
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = opt.grads  # views that opt.step reads
+    y_val = y_val.astype(np.int64)
+    positive, negative = y_val == 1, y_val == 0
 
     def val_f1() -> float:
-        return f1_score(model.predict(X_val), y_val.astype(np.int64))
+        pred = _forward(params, X_val)[2] >= 0.5
+        return _f1_from_counts(int(np.count_nonzero(pred & positive)),
+                               int(np.count_nonzero(pred & negative)),
+                               int(np.count_nonzero(positive & ~pred)))
 
     best_f1 = val_f1()
-    best_params = [p.copy() for p in params]
+    best = opt.flat.copy()
     stale = 0
     for epoch in range(max_epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             rows = order[start : start + batch]
             xb, yb = X_train[rows], y_train[rows]
-            m = len(rows)
-            w1, b1, w2, b2, w3, b3 = params
-            z1 = np.tanh(xb @ w1.T + b1)
-            z2 = np.tanh(z1 @ w2.T + b2)
-            p = 1.0 / (1.0 + np.exp(-(z2 @ w3.T + b3)))[:, 0]
-            g_logit = ((p - yb) / m)[:, None]  # BCE through sigmoid
-            g_w3 = g_logit.T @ z2
-            g_b3 = g_logit.sum(axis=0)
+            z1, z2, p = _forward(params, xb)
+            g_logit = ((p - yb) / len(rows))[:, None]  # BCE through sigmoid
+            np.matmul(g_logit.T, z2, out=g_w3)
+            g_logit.sum(axis=0, out=g_b3)
             g_z2 = (g_logit @ w3) * (1.0 - z2 * z2)
-            g_w2 = g_z2.T @ z1
-            g_b2 = g_z2.sum(axis=0)
+            np.matmul(g_z2.T, z1, out=g_w2)
+            g_z2.sum(axis=0, out=g_b2)
             g_z1 = (g_z2 @ w2) * (1.0 - z1 * z1)
-            g_w1 = g_z1.T @ xb
-            g_b1 = g_z1.sum(axis=0)
-            opt.step([g_w1, g_b1, g_w2, g_b2, g_w3, g_b3])
+            np.matmul(g_z1.T, xb, out=g_w1)
+            g_z1.sum(axis=0, out=g_b1)
+            opt.step()
         score = val_f1()
         if score > best_f1:
             best_f1 = score
-            best_params = [p.copy() for p in params]
+            best[...] = opt.flat
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 log.debug("early stop at epoch %d (best val F1 %.3f)", epoch, best_f1)
                 break
-    return PairClassifier(best_params, d, seed)
+    return PairClassifier(opt.unflatten(best), d, seed)
 
 
 @dataclass(frozen=True)
@@ -270,13 +301,30 @@ def load_f1_matrix(directory, variant: str) -> tuple[F1Matrix, float]:
     def read(path):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        if rows[0][1:] != list(domains):
-            raise ValidationError(f"{path}: column header mismatch")
+        if not rows or rows[0][1:] != list(domains):
+            raise ValidationError(f"{path}: line 1: column header mismatch")
+        if len(rows) <= len(domains):
+            raise ValidationError(
+                f"{path}: line {len(rows) + 1}: file ends before the row of "
+                f"domain '{domains[len(rows) - 1]}'"
+            )
+        if len(rows) > len(domains) + 1:
+            raise ValidationError(
+                f"{path}: line {len(domains) + 2}: extra row after the last domain"
+            )
         out = np.zeros((len(domains), len(domains)))
         for i, row in enumerate(rows[1:]):
+            line = i + 2
+            if len(row) != len(domains) + 1:
+                raise ValidationError(
+                    f"{path}: line {line}: {len(row)} fields, expected {len(domains) + 1}"
+                )
             if row[0] != domains[i]:
-                raise ValidationError(f"{path}: row header mismatch at {i}")
-            out[i] = [float(x) for x in row[1:]]
+                raise ValidationError(f"{path}: line {line}: row header mismatch")
+            try:
+                out[i] = [float(x) for x in row[1:]]
+            except ValueError as e:
+                raise ValidationError(f"{path}: line {line}: {e}") from None
         return out
 
     per_seed = {s: read(directory / f"{base}_seed{s}.csv") for s in manifest["seeds"]}

@@ -243,13 +243,22 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
     names = domain_names(ws)
     seed = cfg["adapt"]["seed"]
     jobs = []
+    pooled = {}
+
+    def columns(name):
+        """Pooled train sentences of a domain as read-only columns, loaded once.
+
+        Shared by every job of this stage; the adapt stage runs them serially.
+        """
+        if name not in pooled:
+            X = np.concatenate(_load_sentences(ws, name, "train"), axis=0).T
+            X.flags.writeable = False
+            pooled[name] = X
+        return pooled[name]
 
     def make(variant, s, t):
         def build():
-            a_s, b_s = _load_sentences(ws, s, "train")
-            a_t, b_t = _load_sentences(ws, t, "train")
-            X_s = np.concatenate([a_s, b_s], axis=0).T
-            X_t = np.concatenate([a_t, b_t], axis=0).T
+            X_s, X_t = columns(s), columns(t)
             settings = _adapt_cfg(cfg, variant)
             if variant == "sda":
                 model = train_sda(X_s, X_t, settings,
@@ -504,12 +513,14 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 
 # Stages whose jobs run on the `--jobs` thread pool. Threads pay only where
 # a job spends its time in numpy calls long enough to run without the GIL:
-# the downstream MLP sweeps (one job per variant). Every other stage is
-# Python loops or many tiny numpy calls, where two threads mostly hand the
-# GIL back and forth. Measured on a 2-vCPU host, default world with all four
-# variants cut to 30 examples per domain: the downstream stage took 2.06 s on
-# 2 threads against 2.42 s serial (medians of 6), while traced train_sda
-# time was 1.46 s with adapt on 2 threads against 0.24 s serial.
+# the downstream MLP sweeps (one job per variant), and only once batches are
+# large. Every other stage is Python loops or many tiny numpy calls, where
+# two threads mostly hand the GIL back and forth. Measured on a 2-vCPU host,
+# default world with all four variants and 5 MLP epochs, downstream stage
+# alone, medians of 6 (3 at 100 examples): at 30 examples per domain it took
+# 1.89 s on 2 threads against 1.85 s serial (2.68 s of CPU against 1.83 s);
+# at 100 examples per domain, 4.12 s against 4.36 s. With adapt on 2
+# threads, traced train_sda time was 1.46 s against 0.24 s serial.
 POOLED_STAGES = ("downstream",)
 
 _STAGE_BUILDERS = {

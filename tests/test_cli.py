@@ -217,6 +217,32 @@ def test_all_variants_byte_identical_under_threads(tmp_path):
     assert hashes["2"] == hashes["1"]
 
 
+def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
+    """Adapt jobs share one read-only column block per domain."""
+    import domainsel.pipeline as pipeline_mod
+
+    loads, seen = [], []
+    real_load = pipeline_mod._load_sentences
+    real_stack = pipeline_mod.stack_marginalized
+
+    def counted_load(ws, name, split):
+        loads.append((name, split))
+        return real_load(ws, name, split)
+
+    def checked_stack(X_s, X_t, cfg):
+        seen.append(not X_s.flags.writeable and not X_t.flags.writeable)
+        return real_stack(X_s, X_t, cfg)
+
+    monkeypatch.setattr(pipeline_mod, "_load_sentences", counted_load)
+    monkeypatch.setattr(pipeline_mod, "stack_marginalized", checked_stack)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    rc = main(["adapt", "--workspace", str(tmp_path / "ws"), "--config", str(cfg_path)])
+    assert rc == 0
+    assert sorted(loads) == [(f"syn0{i}", "train") for i in range(3)]
+    assert seen == [True] * 12  # msda and msdar, 6 ordered pairs each
+
+
 class TestErrors:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

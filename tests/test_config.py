@@ -57,6 +57,22 @@ class TestValidation:
         with pytest.raises(ValidationError, match="embed.dim"):
             validate_config({"embed": {"dim": True}})
 
+    @pytest.mark.parametrize("given, key", [
+        ({"downstream": {"batch": 0}}, "downstream.batch"),
+        ({"adapt": {"sda_batch": -4}}, "adapt.sda_batch"),
+        ({"downstream": {"hidden": [0, 32]}}, "downstream.hidden"),
+        ({"downstream": {"hidden": [16, 2.5]}}, "downstream.hidden"),
+        ({"downstream": {"hidden": [16]}}, "downstream.hidden"),
+    ])
+    def test_non_positive_sizes_rejected(self, given, key):
+        with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
+            validate_config(given)
+
+    def test_smallest_sizes_accepted(self):
+        cfg = validate_config({"downstream": {"batch": 1, "hidden": [1, 1]},
+                               "adapt": {"sda_batch": 1}})
+        assert cfg["downstream"]["hidden"] == [1, 1]
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValidationError, match="data.mode"):
             validate_config({"data": {"mode": "download"}})

@@ -226,6 +226,22 @@ class TestF1MatrixIO:
         for seed in m.per_seed:
             np.testing.assert_array_equal(loaded.per_seed[seed], m.per_seed[seed])
 
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: lines[:-1], r"line 3: file ends before the row of domain 'B'"),
+        (lambda lines: lines[:1], r"line 2: file ends before the row of domain 'A'"),
+        (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + "\r\n", lines[2]],
+         r"line 2: 2 fields, expected 3"),
+        (lambda lines: lines + [lines[-1]], r"line 4: extra row"),
+        (lambda lines: [], r"line 1: column header"),
+    ])
+    def test_damaged_csv_names_file_and_line(self, tmp_path, edit, where):
+        save_f1_matrix(toy_matrix(), tmp_path, threshold=0.8)
+        path = tmp_path / "f1_DT_seed1.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(edit(lines)), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"f1_DT_seed1\.csv: " + where):
+            load_f1_matrix(tmp_path, "DT")
+
     def test_files_written(self, tmp_path):
         m = toy_matrix()
         save_f1_matrix(m, tmp_path, threshold=0.8)

@@ -3,13 +3,22 @@
 The reference classes and loops below are copies of the code before Adam
 kept its parameters in one buffer; the tests require bit-equal results.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from domainsel.adapt import AdaptConfig, _dae_loss, train_sda
-from domainsel.downstream import PairClassifier, f1_score, train_pair_classifier
+from domainsel.downstream import (
+    PairClassifier,
+    _initial_state,
+    f1_score,
+    train_pair_classifier,
+)
 from domainsel.optim import Adam
 
 
@@ -150,7 +159,9 @@ class TestAdam:
             grads = [rng.normal(size=s) * 10.0 ** rng.integers(-9, 4)
                      * (rng.random(size=s) < 0.9) for s in shapes]
             ref.step(grads)
-            opt.step(grads)
+            for dst, src in zip(opt.grads, grads):
+                dst[...] = src
+            opt.step()
         for got, want in zip(opt.params, ref.params):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -163,13 +174,30 @@ class TestAdam:
             assert view.shape == a.shape
             assert np.shares_memory(view, opt.flat)
             np.testing.assert_array_equal(view, a)
-        opt.step([np.ones((3, 2)), -np.ones(4), np.ones((1, 1))])
+        for dst, src in zip(opt.grads, [np.ones((3, 2)), -np.ones(4), np.ones((1, 1))]):
+            dst[...] = src
+        opt.step()
         assert all(p is v for p, v in zip(opt.params, views))
         np.testing.assert_allclose(views[0], 0.9)
         np.testing.assert_allclose(views[1], 0.1)
         # The arrays passed in were copied, not trained.
         np.testing.assert_array_equal(init[0], np.ones((3, 2)))
         np.testing.assert_array_equal(init[1], np.zeros(4))
+
+    def test_grads_are_views_that_step_reads(self):
+        opt = Adam([np.ones((3, 2)), np.ones(4)], lr=0.1)
+        views = list(opt.grads)
+        for g, p in zip(views, opt.params):
+            assert g.shape == p.shape
+            assert not np.shares_memory(g, opt.flat)
+        views[0][...] = 2.0
+        views[1][...] = 0.0
+        opt.step()
+        assert all(g is v for g, v in zip(opt.grads, views))
+        # The first Adam step moves each parameter by lr against the sign of
+        # its gradient, and not at all where the gradient is zero.
+        np.testing.assert_allclose(opt.params[0], 0.9)
+        np.testing.assert_array_equal(opt.params[1], np.ones(4))
 
 
 def classification_set(n, d, seed):
@@ -209,3 +237,54 @@ class TestTrainingLoopsBitEqual:
             for layer, want in zip(got.params["layers"], want_layers):
                 for key in want:
                     assert layer[key].tobytes() == want[key].tobytes()
+
+
+def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4)):
+    clf = train_pair_classifier(X, y, Xv, yv, seed=seed, hidden=hidden,
+                                max_epochs=6, patience=3, batch=8, lr=0.01)
+    return b"".join(p.tobytes() for p in clf.params)
+
+
+class TestInitialStateCache:
+    """Fits restore a cached initial draw; no call history may show in the bits."""
+
+    def test_fit_independent_of_call_history(self):
+        X, y = classification_set(40, 6, 0)
+        Xv, yv = classification_set(20, 6, 100)
+        want = b"".join(p.tobytes() for p in reference_train_pair_classifier(
+            X, y, Xv, yv, 3, hidden=(8, 4), max_epochs=6, patience=3, batch=8, lr=0.01))
+        _initial_state.cache_clear()
+        assert fit_bytes(X, y, Xv, yv, 3) == want  # cold
+        X9, y9 = classification_set(40, 9, 1)
+        Xv9, yv9 = classification_set(20, 9, 101)
+        fit_bytes(X, y, Xv, yv, 4)  # another seed
+        fit_bytes(X9, y9, Xv9, yv9, 3)  # another input width
+        fit_bytes(X, y, Xv, yv, 3, hidden=(5, 3))  # other hidden widths
+        assert fit_bytes(X, y, Xv, yv, 3) == want  # warm
+
+        _initial_state.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(fit_bytes, X, y, Xv, yv, 3) for _ in range(4)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 4
+
+    def test_cached_arrays_read_only(self):
+        init, state = _initial_state(7, 5, 4, 3)
+        assert [a.shape for a in init] == [(4, 5), (4,), (3, 4), (3,), (1, 3), (1,)]
+        for a in init:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        again, again_state = _initial_state(7, 5, 4, 3)
+        assert again is init and again_state is state
+        # Training never writes into the cached draw.
+        X, y = classification_set(30, 5, 2)
+        before = [a.copy() for a in init]
+        train_pair_classifier(X, y, X, y, seed=7, hidden=(4, 3), max_epochs=3, lr=0.05)
+        for a, b in zip(init, before):
+            assert a.tobytes() == b.tobytes()
