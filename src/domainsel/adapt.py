@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,11 @@ class AdaptConfig:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if self.noise_scale < 0:
             raise ValidationError(f"noise_scale must be >= 0, got {self.noise_scale}")
+
+
+# AdaptConfig fields other than `variant`, in declaration order: the settings
+# read from the `adapt` config section, and a saved model's "config" keys.
+CONFIG_FIELDS = tuple(f.name for f in fields(AdaptConfig) if f.name != "variant")
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -195,16 +200,7 @@ class AdaptModel:
     def save(self, path) -> None:
         blob = {
             "variant": self.variant,
-            "config": {
-                "layers": self.cfg.layers,
-                "dropout_p": self.cfg.dropout_p,
-                "lam": self.cfg.lam,
-                "reg_target": self.cfg.reg_target,
-                "noise_scale": self.cfg.noise_scale,
-                "sda_epochs": self.cfg.sda_epochs,
-                "sda_batch": self.cfg.sda_batch,
-                "sda_lr": self.cfg.sda_lr,
-            },
+            "config": {name: getattr(self.cfg, name) for name in CONFIG_FIELDS},
             "input_dim": self.input_dim,
         }
         if self.variant in ("msda", "msdar"):

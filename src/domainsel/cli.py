@@ -37,10 +37,6 @@ _STAGE_OF = {
 # representations.
 _VARIANT_ALIASES = {"dt": "none"}
 
-_REPORT_FILES = ("table1_predictor.csv", "table1_predictor.txt",
-                 "table1_ranker.csv", "table1_ranker.txt",
-                 "table2.csv", "table2.txt", "manifest.json")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -105,10 +101,8 @@ def _meta_restriction(resolved: dict, args) -> tuple:
 def _copy_report(ws: Workspace, out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report_root = ws.path("report")
-    for path in sorted(report_root.iterdir()):
-        if path.name in _REPORT_FILES or path.name.startswith("pca_"):
-            shutil.copyfile(path, out / path.name)
+    for path in sorted(ws.path("report").iterdir()):
+        shutil.copyfile(path, out / path.name)
 
 
 def run(args) -> int:

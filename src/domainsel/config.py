@@ -1,9 +1,10 @@
 """Pipeline configuration: schema, validation, seeds, and hashing.
 
 One JSON file drives every stage. Unknown keys are rejected by name, all
-randomness flows from the master seed (each stage may pin its own), and
-each stage gets a content hash chained through its upstream stages so the
-workspace can tell exactly which artifacts a config change invalidates.
+randomness flows from the master seed (each stage that draws random numbers
+has a `seed` that may pin its own), and each stage gets a content hash
+chained through its upstream stages so the workspace can tell exactly which
+artifacts a config change invalidates.
 """
 from __future__ import annotations
 
@@ -57,12 +58,10 @@ DEFAULT_CONFIG = {
         "epochs": 5,
     },
     "lm": {
-        "seed": None,
         "min_count": 1,
         "discount": 0.75,
     },
     "features": {
-        "seed": None,
         "alpha": 0.99,
         "smoothing": 0.5,
     },
@@ -79,7 +78,6 @@ DEFAULT_CONFIG = {
         "sda_lr": 0.001,
     },
     "downstream": {
-        "seed": None,
         "seeds": [0, 1, 2],
         "hidden": [128, 32],
         "max_epochs": 50,
@@ -97,7 +95,6 @@ DEFAULT_CONFIG = {
         "repeats": 11,
     },
     "report": {
-        "seed": None,
         "pca_pairs": [],
     },
 }
@@ -161,6 +158,9 @@ def _check_semantics(cfg: dict) -> None:
         for required in ("name", "path", "format"):
             if required not in src:
                 raise ValidationError(f"config key 'data.sources[{i}].{required}' is required")
+    names = [src["name"] for src in cfg["data"]["sources"]]
+    if len(set(names)) != len(names):
+        raise ValidationError("config key 'data.sources' has duplicate names")
     ratios = cfg["data"]["split_ratios"]
     if len(ratios) != 3 or not all(isinstance(r, (int, float)) for r in ratios):
         raise ValidationError("config key 'data.split_ratios' must be 3 numbers")
@@ -217,13 +217,13 @@ def load_config(path) -> dict:
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
-    """Fill in concrete per-stage seeds derived from the master seed."""
+    """Fill in seeds derived from the master seed for the stages that have one."""
     resolved = copy.deepcopy(cfg)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
     master = resolved["seed"]
     for stage in STAGES:
-        if resolved[stage].get("seed") is None:
+        if "seed" in resolved[stage] and resolved[stage]["seed"] is None:
             resolved[stage]["seed"] = child_seed(master, "stage", stage)
     return resolved
 

@@ -1,16 +1,14 @@
-"""Skipgram word embeddings and sentence embedding providers.
+"""Skipgram word embeddings and mean-pooled sentence vectors.
 
 Word vectors are trained with negative sampling, once on the merged corpus
 and once per domain. The pipeline seeds each per-domain table separately
 (`child_seed(seed, "table", name)`) over its own vocabulary, so coordinates
 are not aligned across domains and the word-vector-variance feature that
-compares them carries little signal (ROADMAP item 5). Sentence vectors come
-either from mean pooling a trained table or from a precomputed JSONL file
-keyed by record (so externally computed vectors can be dropped in).
+compares them carries little signal (ROADMAP item 5). Sentence vectors are
+the mean of a trained table's word vectors.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -54,6 +52,15 @@ class EmbeddingTable:
             return self.matrix[self._index[token]]
         except KeyError:
             raise ValidationError(f"token {token!r} not in embedding table") from None
+
+    def sentence_vector(self, text: str) -> np.ndarray:
+        """Mean vector of the text's in-table tokens; zeros when none match."""
+        token_ids = [self._index[t] for t in tokenize(text) if t in self._index]
+        if not token_ids:
+            return np.zeros(self.dim)
+        # Canonical accumulation order makes this exactly permutation-invariant.
+        uniq, cnt = np.unique(np.array(token_ids), return_counts=True)
+        return (cnt[:, None] * self.matrix[uniq]).sum(axis=0) / len(token_ids)
 
     def save(self, path) -> None:
         """word2vec text format: `<vocab> <dim>` then one token per line."""
@@ -215,63 +222,3 @@ def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, do
         dim=dim, domain=domain, tokens=tuple(vocab), matrix=w_in,
         loss_curve=tuple(losses),
     )
-
-
-class SentenceEmbeddingProvider:
-    """Deterministic text → vector map.
-
-    mean_pooled mode averages the word vectors of in-table tokens (zero
-    vector when nothing matches); file_loaded mode treats the query string
-    as a record key of the form <domain>/<split>/<index>/<a|b> and returns
-    the stored vector verbatim.
-    """
-
-    def __init__(self, mode: str, dim: int, table=None, store=None):
-        if mode not in ("mean_pooled", "file_loaded"):
-            raise ValidationError(f"unknown provider mode '{mode}'")
-        self.mode = mode
-        self.dim = dim
-        self._table = table
-        self._store = store
-
-    @classmethod
-    def mean_pooled(cls, table: EmbeddingTable) -> "SentenceEmbeddingProvider":
-        return cls("mean_pooled", table.dim, table=table)
-
-    @classmethod
-    def file_loaded(cls, path) -> "SentenceEmbeddingProvider":
-        store: dict[str, np.ndarray] = {}
-        dim = None
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key, vec = rec["key"], np.asarray(rec["vec"], dtype=np.float64)
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise ValidationError(f"{path}: line {lineno}: bad record ({e})") from e
-                if dim is None:
-                    dim = len(vec)
-                elif len(vec) != dim:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: vector length {len(vec)} != {dim}"
-                    )
-                store[key] = vec
-        if not store:
-            raise ValidationError(f"{path}: no sentence vectors found")
-        return cls("file_loaded", dim, store=store)
-
-    def embed_sentence(self, text: str) -> np.ndarray:
-        if self.mode == "file_loaded":
-            try:
-                return self._store[text]
-            except KeyError:
-                raise ValidationError(f"no stored sentence vector for key {text!r}") from None
-        table = self._table
-        token_ids = [table._index[t] for t in tokenize(text) if t in table]
-        if not token_ids:
-            return np.zeros(self.dim)
-        # Canonical accumulation order makes this exactly permutation-invariant.
-        uniq, cnt = np.unique(np.array(token_ids), return_counts=True)
-        return (cnt[:, None] * table.matrix[uniq]).sum(axis=0) / len(token_ids)

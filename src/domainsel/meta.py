@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gbdt import GBDTModel, GBDTParams, gbdt_train_cv
+from .gbdt import GBDTParams, gbdt_train_cv
 from .simfeat import FEATURE_NAMES, FeatureVector
 
 log = logging.getLogger(__name__)
@@ -244,11 +244,6 @@ def multi_sort(items, noisy_less, repeats: int = MULTISORT_REPEATS, seed: int = 
             totals[item] += pos
     mean_pos = {item: totals[item] / repeats for item in items}
     return sorted(((it, mean_pos[it]) for it in items), key=lambda t: (t[1], t[0]))
-
-
-def feature_importance(model: GBDTModel) -> dict:
-    """Gain-share per named feature; sums to 1 when the model ever split."""
-    return model.feature_importance()
 
 
 def save_orderings(orderings, path) -> None:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .adapt import AdaptConfig, AdaptModel, encode, stack_marginalized, train_sda
+from .adapt import (
+    CONFIG_FIELDS, AdaptConfig, AdaptModel, encode, stack_marginalized, train_sda,
+)
 from .config import STAGES, stage_hashes
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
@@ -25,7 +28,7 @@ from .downstream import (
     save_f1_matrix,
     success_labels,
 )
-from .embed import EmbeddingTable, SentenceEmbeddingProvider, train_skipgram
+from .embed import EmbeddingTable, train_skipgram
 from .errors import ValidationError
 from .gbdt import GBDTModel, GBDTParams
 from .meta import (
@@ -39,7 +42,7 @@ from .meta import (
 from .ngram_lm import TrigramLM, train_kn
 from .report import build_table1, build_table2, pca_export, true_ordering
 from .simfeat import feature_vector, load_feature_matrix, save_feature_matrix
-from .synth import child_seed, spec_from_config, synth_domain
+from .synth import child_seed, spec_from_config, synth_domain, synth_names
 from .workspace import Job, StageResult, Workspace, run_stage
 
 log = logging.getLogger(__name__)
@@ -49,23 +52,24 @@ def _corpus_path(name: str) -> str:
     return f"corpora/{name}.json"
 
 
-def domain_names(ws: Workspace) -> list:
-    root = ws.path("corpora")
-    if not root.exists():
-        raise ValidationError("workspace has no corpora; run the data stage first")
-    return sorted(p.stem for p in root.glob("*.json"))
-
-
-def _load_corpora(ws: Workspace) -> dict:
-    return {name: DomainCorpus.load(ws.path(_corpus_path(name))) for name in domain_names(ws)}
-
-
 def _check_name(name: str) -> str:
     if not name or not all(c.isalnum() or c in "-_" for c in name):
         raise ValidationError(
             f"domain name {name!r} must use only letters, digits, '-' or '_'"
         )
     return name
+
+
+def domain_names(cfg: dict) -> list:
+    """The configured domains, sorted; other corpora in the workspace are unused."""
+    data = cfg["data"]
+    if data["mode"] == "synth":
+        return sorted(synth_names(data["synth"]["domains"]))
+    return sorted(src["name"] for src in data["sources"])
+
+
+def _load_corpora(ws: Workspace, names) -> dict:
+    return {name: DomainCorpus.load(ws.path(_corpus_path(name))) for name in names}
 
 
 def _data_jobs(ws: Workspace, cfg: dict) -> list:
@@ -122,14 +126,14 @@ def _sentence_path(name: str, split: str, side: str) -> str:
 
 def _embed_jobs(ws: Workspace, cfg: dict) -> list:
     e = cfg["embed"]
-    names = domain_names(ws)
+    names = domain_names(cfg)
     if "global" in names:
         raise ValidationError("domain name 'global' collides with the shared table")
     kwargs = dict(dim=e["dim"], window=e["window"], negatives=e["negatives"],
                   epochs=e["epochs"])
 
     def build_global():
-        corpora = _load_corpora(ws)
+        corpora = _load_corpora(ws, names)
         merged = DomainCorpus(
             name="global",
             examples=tuple(ex for name in names for ex in corpora[name].subset("train")),
@@ -148,16 +152,14 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
 
     def make_sentences(name):
         def build():
-            provider = SentenceEmbeddingProvider.mean_pooled(
-                EmbeddingTable.load(ws.path(GLOBAL_TABLE), domain="global")
-            )
+            table = EmbeddingTable.load(ws.path(GLOBAL_TABLE), domain="global")
             loaded = DomainCorpus.load(ws.path(_corpus_path(name)))
             for split in SPLITS:
                 examples = loaded.subset(split)
                 if not examples:
                     raise ValidationError(f"domain {name} has no '{split}' examples")
-                a = np.array([provider.embed_sentence(ex.text_a) for ex in examples])
-                b = np.array([provider.embed_sentence(ex.text_b) for ex in examples])
+                a = np.array([table.sentence_vector(ex.text_a) for ex in examples])
+                b = np.array([table.sentence_vector(ex.text_b) for ex in examples])
                 np.save(ws.path(_sentence_path(name, split, "a")), a)
                 np.save(ws.path(_sentence_path(name, split, "b")), b)
         return build
@@ -190,7 +192,7 @@ def _lm_jobs(ws: Workspace, cfg: dict) -> list:
             model.save(ws.path(_lm_path(name)))
         return build
 
-    return [[Job([_lm_path(n)], make(n), note=n) for n in domain_names(ws)]]
+    return [[Job([_lm_path(n)], make(n), note=n) for n in domain_names(cfg)]]
 
 
 FEATURES_CSV = "features/features.csv"
@@ -198,10 +200,10 @@ FEATURES_CSV = "features/features.csv"
 
 def _features_jobs(ws: Workspace, cfg: dict) -> list:
     settings = cfg["features"]
+    names = domain_names(cfg)
 
     def build():
-        corpora = _load_corpora(ws)
-        names = sorted(corpora)
+        corpora = _load_corpora(ws, names)
         tables = {
             n: EmbeddingTable.load(ws.path(_table_path(n)), domain=n) for n in names
         }
@@ -230,17 +232,8 @@ def _load_sentences(ws: Workspace, name: str, split: str):
     return a, b
 
 
-def _adapt_cfg(cfg: dict, variant: str) -> AdaptConfig:
-    a = cfg["adapt"]
-    return AdaptConfig(
-        variant=variant, layers=a["layers"], dropout_p=a["dropout_p"],
-        lam=a["lam"], reg_target=a["reg_target"], noise_scale=a["noise_scale"],
-        sda_epochs=a["sda_epochs"], sda_batch=a["sda_batch"], sda_lr=a["sda_lr"],
-    )
-
-
 def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
-    names = domain_names(ws)
+    names = domain_names(cfg)
     seed = cfg["adapt"]["seed"]
     jobs = []
     pooled = {}
@@ -259,7 +252,7 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
     def make(variant, s, t):
         def build():
             X_s, X_t = columns(s), columns(t)
-            settings = _adapt_cfg(cfg, variant)
+            settings = AdaptConfig(variant, **{k: cfg["adapt"][k] for k in CONFIG_FIELDS})
             if variant == "sda":
                 model = train_sda(X_s, X_t, settings,
                                   seed=child_seed(seed, variant, s, t))
@@ -288,21 +281,32 @@ def _downstream_outputs(variant: str, seeds) -> list:
 
 def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     d = cfg["downstream"]
-    names = domain_names(ws)
+    names = domain_names(cfg)
     if len(names) < 2:
         raise ValidationError("downstream needs at least 2 domains")
+    inputs = {}
+    lock = threading.Lock()
+
+    def load_inputs() -> dict:
+        """Read-only (a, b, labels) per (domain, split), loaded by the first
+        variant job to run and shared by the others, also on the pool."""
+        with lock:
+            if not inputs:
+                corpora = _load_corpora(ws, names)
+                loaded = {}
+                for n in names:
+                    for split in SPLITS:
+                        a, b = _load_sentences(ws, n, split)
+                        y = np.array(corpora[n].labels(split), dtype=np.float64)
+                        for arr in (a, b, y):
+                            arr.flags.writeable = False
+                        loaded[(n, split)] = (a, b, y)
+                inputs.update(loaded)
+            return inputs
 
     def make(variant):
         def build():
-            corpora = _load_corpora(ws)
-            vectors = {
-                (n, split): _load_sentences(ws, n, split)
-                for n in names for split in SPLITS
-            }
-            labels = {
-                (n, split): np.array(corpora[n].labels(split), dtype=np.float64)
-                for n in names for split in SPLITS
-            }
+            data = load_inputs()
             cache = {}
 
             def pair_data(s, t):
@@ -313,12 +317,10 @@ def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
                         model = AdaptModel.load(ws.path(_adapt_path(variant, s, t)))
                         enc = lambda m: encode(model, m.T).T
                     def rows(domain, split):
-                        a, b = vectors[(domain, split)]
-                        return pair_input(enc(a), enc(b))
+                        a, b, y = data[(domain, split)]
+                        return pair_input(enc(a), enc(b)), y
                     cache[(s, t)] = (
-                        rows(s, "train"), labels[(s, "train")],
-                        rows(s, "val"), labels[(s, "val")],
-                        rows(t, "test"), labels[(t, "test")],
+                        *rows(s, "train"), *rows(s, "val"), *rows(t, "test")
                     )
                 return cache[(s, t)]
 
@@ -360,7 +362,7 @@ def _classifier_metrics(model: GBDTModel, X: np.ndarray, y: np.ndarray) -> dict:
 def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                only_variant: str | None = None) -> list:
     m = cfg["meta"]
-    names = domain_names(ws)
+    names = domain_names(cfg)
     if len(names) < 3:
         raise ValidationError("meta models need at least 3 domains")
 
@@ -373,20 +375,9 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                 learning_rate=m["learning_rate"],
                 seed=child_seed(m["seed"], mode, variant),
             )
-            orderings = []
-            per_target = {}
-            importance = {}
             if mode == "predictor":
                 success = success_labels(matrix, threshold)[1]
                 labels = {k: int(v) for k, v in success.items() if k[0] != k[1]}
-                for split in loto_splits(names, "predictor"):
-                    model, ordering = success_predictor(features, labels, split, params)
-                    X = np.array([features[p].as_array() for p in split.test])
-                    y = np.array([labels[p] for p in split.test])
-                    per_target[split.target] = _classifier_metrics(model, X, y)
-                    importance[split.target] = model.feature_importance()
-                    orderings.append(ordering)
-                    model.save(ws.path(_meta_model_path(mode, variant, split.target)))
             else:
                 f1_means = {
                     (s, t): matrix.entry(s, t)
@@ -394,17 +385,25 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                 }
                 samples = build_ranker_samples(features, f1_means)
                 by_key = {(x.pair[0], x.pair[1], x.target): x for x in samples}
-                for split in loto_splits(names, "ranker"):
+            orderings = []
+            per_target = {}
+            importance = {}
+            for split in loto_splits(names, mode):
+                if mode == "predictor":
+                    model, ordering = success_predictor(features, labels, split, params)
+                    X = [features[p].as_array() for p in split.test]
+                    y = [labels[p] for p in split.test]
+                else:
                     model, ordering = domain_ranker(
                         samples, split, params, repeats=m["repeats"],
                         seed=child_seed(m["seed"], mode, variant, split.target),
                     )
-                    X = np.array([by_key[k].features for k in split.test])
-                    y = np.array([by_key[k].label for k in split.test])
-                    per_target[split.target] = _classifier_metrics(model, X, y)
-                    importance[split.target] = model.feature_importance()
-                    orderings.append(ordering)
-                    model.save(ws.path(_meta_model_path(mode, variant, split.target)))
+                    X = [by_key[k].features for k in split.test]
+                    y = [by_key[k].label for k in split.test]
+                per_target[split.target] = _classifier_metrics(model, np.array(X), y)
+                importance[split.target] = model.feature_importance()
+                orderings.append(ordering)
+                model.save(ws.path(_meta_model_path(mode, variant, split.target)))
             save_orderings(orderings, ws.path(_orderings_path(mode, variant)))
             with open(ws.path(_meta_report_path(mode, variant)), "w",
                       encoding="utf-8") as f:
@@ -438,7 +437,7 @@ def _pca_path(s: str, t: str) -> str:
 def _report_jobs(ws: Workspace, cfg: dict) -> list:
     variants = cfg["adapt"]["variants"]
     modes = cfg["meta"]["modes"]
-    names = domain_names(ws)
+    names = domain_names(cfg)
     # The ordering table reports top-5 hits, so each target needs >= 5
     # candidate sources.
     if modes and len(names) < 6:
@@ -493,7 +492,9 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
         from .config import config_hash
         payload = {
             "master_seed": cfg["seed"],
-            "stage_seeds": {stage: cfg[stage]["seed"] for stage in STAGES},
+            "stage_seeds": {
+                stage: cfg[stage]["seed"] for stage in STAGES if "seed" in cfg[stage]
+            },
             "config_hash": config_hash(cfg),
             "stage_hashes": stage_hashes(cfg),
             "domains": names,
@@ -519,8 +520,11 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 # default world with all four variants and 5 MLP epochs, downstream stage
 # alone, medians of 6 (3 at 100 examples): at 30 examples per domain it took
 # 1.89 s on 2 threads against 1.85 s serial (2.68 s of CPU against 1.83 s);
-# at 100 examples per domain, 4.12 s against 4.36 s. With adapt on 2
-# threads, traced train_sda time was 1.46 s against 0.24 s serial.
+# at 100 examples per domain, 4.12 s against 4.36 s; at 300 (the default),
+# the whole `downstream` command on a built workspace took 9.01 s against
+# 11.20 s (14.6 s of CPU against 11.1 s, medians of 4, BLAS on one thread).
+# With adapt on 2 threads, traced train_sda time was 1.46 s against 0.24 s
+# serial.
 POOLED_STAGES = ("downstream",)
 
 _STAGE_BUILDERS = {
@@ -560,12 +564,16 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
         for phase in phases:
             done = run_stage(ws, stage, hashes[stage], phase,
                              n_jobs=n_jobs if stage in POOLED_STAGES else 1,
-                             seed=resolved[stage]["seed"])
+                             seed=resolved[stage].get("seed"))
             combined.built.extend(done.built)
             combined.skipped.extend(done.skipped)
         if stage == "data":
+            registered = domain_names(resolved)
+            orphans = {p.stem for p in ws.path("corpora").glob("*.json")} - set(registered)
+            if orphans:
+                log.warning("ignoring corpora of domains not in the config: %s",
+                            ", ".join(sorted(orphans)))
             manifest = ws.load_manifest()
-            registered = domain_names(ws)
             if manifest.get("domains") != registered:
                 manifest["domains"] = registered
                 ws.save_manifest(manifest)

@@ -22,8 +22,6 @@ from .meta import Ordering
 log = logging.getLogger(__name__)
 
 METRIC_COLUMNS = ("f1", "accuracy", "crp", "top1", "top3", "top5")
-PCA_TOL = 1e-9
-PCA_MAX_ITER = 1000
 
 
 def true_ordering(matrix: F1Matrix, target: str) -> Ordering:
@@ -256,11 +254,10 @@ def build_table2(matrices, success) -> TransferReport:
 
 
 def _principal_components(X: np.ndarray, k: int = 2):
-    """Top-k eigenvectors of the sample covariance by power iteration.
+    """Top-k eigenvectors of the sample covariance, largest variance first.
 
-    Deflates each found component out of the covariance; deterministic
-    start vectors from a fixed generator. Returns (components (k, d),
-    variances (k,)) with components orthonormal.
+    Each component's largest-magnitude entry is positive. Returns
+    (components (k, d), variances (k,)) with components orthonormal.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
@@ -269,47 +266,14 @@ def _principal_components(X: np.ndarray, k: int = 2):
     total_var = float(np.trace(cov))
     if total_var <= 0.0:
         raise ValidationError("data has zero variance; nothing to project")
-
-    rng = np.random.default_rng(0)
-    components = []
-    variances = []
-    work = cov.copy()
-    for _ in range(k):
-        v = rng.normal(size=d)
-        for prev in components:
-            v -= (v @ prev) * prev
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ComputationError("degenerate start vector in power iteration")
-        v /= norm
-        for _it in range(PCA_MAX_ITER):
-            w = work @ v
-            for prev in components:
-                w -= (w @ prev) * prev
-            norm = float(np.linalg.norm(w))
-            if norm <= total_var * 1e-15:
-                raise ComputationError(
-                    "covariance is rank deficient; fewer than "
-                    f"{k} principal directions exist"
-                )
-            w /= norm
-            if np.linalg.norm(w - v) < PCA_TOL:
-                v = w
-                break
-            v = w
-        else:
-            log.warning("power iteration hit %d iterations without tol %g",
-                        PCA_MAX_ITER, PCA_TOL)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        lam = float(v @ cov @ v)
-        components.append(v)
-        variances.append(lam)
-        work = work - lam * np.outer(v, v)
-
-    order = np.argsort(-np.asarray(variances), kind="stable")
-    comp = np.asarray(components)[order]
-    return comp, np.asarray(variances)[order]
+    evals, evecs = np.linalg.eigh(cov)
+    if d < k or evals[-k] <= total_var * 1e-15:
+        raise ComputationError(
+            f"covariance is rank deficient; fewer than {k} principal directions exist"
+        )
+    comp = evecs[:, ::-1][:, :k].T
+    signs = np.sign(comp[np.arange(k), np.argmax(np.abs(comp), axis=1)])
+    return comp * signs[:, None], evals[::-1][:k]
 
 
 def pca_export(source_encoded, target_encoded, path,

@@ -136,6 +136,11 @@ def generate_synthetic(spec: SyntheticSpec) -> dict:
     return {name: synth_domain(spec, name) for name in spec.domains}
 
 
+def synth_names(n_domains: int) -> tuple:
+    """The names of the first n synthetic domains."""
+    return tuple(f"syn{i:02d}" for i in range(n_domains))
+
+
 def spec_from_config(synth_cfg: dict, seed: int) -> SyntheticSpec:
     """Expand the compact config form into an explicit SyntheticSpec.
 
@@ -147,7 +152,7 @@ def spec_from_config(synth_cfg: dict, seed: int) -> SyntheticSpec:
     n_topics = synth_cfg["topics"]
     if n_domains < 2 or n_topics < 2:
         raise ValidationError("synthetic config needs >= 2 domains and >= 2 topics")
-    domains = tuple(f"syn{i:02d}" for i in range(n_domains))
+    domains = synth_names(n_domains)
     topics = tuple(
         tuple(f"t{k:02d}w{i:03d}" for i in range(synth_cfg["words_per_topic"]))
         for k in range(n_topics)

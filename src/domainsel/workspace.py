@@ -1,9 +1,11 @@
 """Workspace directory with a manifest tracking artifact provenance.
 
-Every artifact records the chained config hash and seed of the stage that
-produced it. A job reruns only when an output is missing or its recorded
-hash no longer matches; stale artifacts are logged and rebuilt, never
-silently reused. Failed jobs delete their partial outputs.
+Every artifact records the chained config hash and seed (null for a stage
+without one) of the stage that produced it. A job reruns only when an
+output is missing or its recorded hash no longer matches; stale artifacts
+are logged and rebuilt, never silently reused. Failed jobs delete their
+partial outputs; outputs leave the manifest before their job rebuilds them,
+so a killed build is redone.
 """
 from __future__ import annotations
 
@@ -129,6 +131,13 @@ def run_stage(ws: Workspace, stage: str, stage_hash: str, jobs,
     if not pending:
         log.info("stage %s: up to date (%d artifacts)", stage, len(result.skipped))
         return result
+
+    # Unrecord what is about to be rewritten: a kill mid-write then leaves it
+    # to be rebuilt, not recorded as current.
+    dropped = [artifacts.pop(rel) for job in pending for rel in job.outputs
+               if rel in artifacts]
+    if dropped:
+        ws.save_manifest(manifest)
 
     def record(job: Job) -> None:
         for rel in job.outputs:

@@ -67,13 +67,16 @@ class TestPipeline:
         assert manifest["domains"] == [f"syn{i:02d}" for i in range(6)]
         for rel in EXPECTED_REPORTS:
             assert rel in manifest["artifacts"], rel
+        assert manifest["artifacts"]["lms/syn00.txt"]["seed"] is None
 
     def test_report_manifest_carries_seeds_and_hashes(self, world):
         ws_path, cfg_path = world
         summary = json.loads((ws_path / "report" / "manifest.json").read_text())
         resolved = resolve_config(load_config(cfg_path))
         assert summary["master_seed"] == 3
-        assert summary["stage_seeds"]["embed"] == resolved["embed"]["seed"]
+        assert summary["stage_seeds"] == {
+            stage: resolved[stage]["seed"] for stage in ("data", "embed", "adapt", "meta")
+        }
         assert len(summary["config_hash"]) == 64
         assert sorted(summary["stage_hashes"]) == sorted(resolved and [
             "data", "embed", "lm", "features", "adapt", "downstream", "meta", "report"
@@ -241,6 +244,65 @@ def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
     assert rc == 0
     assert sorted(loads) == [(f"syn0{i}", "train") for i in range(3)]
     assert seen == [True] * 12  # msda and msdar, 6 ordered pairs each
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
+    """Downstream's variant jobs share one read-only load of their inputs."""
+    import domainsel.pipeline as pipeline_mod
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    ws = str(tmp_path / "ws")
+    assert main(["adapt", "--workspace", ws, "--config", str(cfg_path)]) == 0
+    calls, writeable = [], []
+    real_load, real_corpora = pipeline_mod._load_sentences, pipeline_mod._load_corpora
+    real_matrix = pipeline_mod.cross_domain_matrix
+
+    def counted_load(*args):
+        calls.append("sentences")
+        return real_load(*args)
+
+    def counted_corpora(*args):
+        calls.append("corpora")
+        return real_corpora(*args)
+
+    def checked_matrix(names, pair_data, *args, **kwargs):
+        def checked(s, t):
+            data = pair_data(s, t)
+            writeable.extend(y.flags.writeable for y in data[1::2])  # shared labels
+            return data
+        return real_matrix(names, checked, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "_load_sentences", counted_load)
+    monkeypatch.setattr(pipeline_mod, "_load_corpora", counted_corpora)
+    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", checked_matrix)
+    rc = main(["downstream", "--workspace", ws, "--config", str(cfg_path),
+               "--jobs", jobs])
+    assert rc == 0
+    assert sorted(calls) == ["corpora"] + ["sentences"] * 9  # 3 domains x 3 splits
+    assert writeable and not any(writeable)
+
+
+def test_domains_come_from_config(tmp_path, caplog):
+    """Shrinking data.synth.domains drops the orphan corpus from every stage."""
+    cfg = json.loads(json.dumps(VARIANTS_CONFIG))
+    cfg["adapt"]["variants"] = ["none"]
+    cfg["data"]["synth"]["domains"] = 4
+    cfg_path = tmp_path / "config.json"
+    ws = tmp_path / "ws"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["features", "--workspace", str(ws), "--config", str(cfg_path)]) == 0
+    assert "syn03" in (ws / "features" / "features.csv").read_text()
+    cfg["data"]["synth"]["domains"] = 3
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["features", "--workspace", str(ws), "--config", str(cfg_path)]) == 0
+    assert (ws / "corpora" / "syn03.json").exists()
+    assert "syn03" not in (ws / "features" / "features.csv").read_text()
+    manifest = json.loads((ws / "manifest.json").read_text())
+    assert manifest["domains"] == ["syn00", "syn01", "syn02"]
+    assert any("syn03" in rec.getMessage() for rec in caplog.records
+               if rec.levelname == "WARNING")
 
 
 class TestErrors:

@@ -15,6 +15,9 @@ from domainsel.config import (
 from domainsel.errors import ValidationError
 from domainsel.synth import child_seed
 
+# The stages that draw random numbers, and so take a `seed`.
+SEEDED = ("data", "embed", "adapt", "meta")
+
 
 class TestValidation:
     def test_empty_config_gets_defaults(self):
@@ -35,6 +38,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown config key 'embed.dims'"):
             validate_config({"embed": {"dims": 32}})
 
+    @pytest.mark.parametrize("stage", ["lm", "features", "downstream", "report"])
+    def test_seed_of_unseeded_stage_rejected(self, stage):
+        with pytest.raises(ValidationError, match=f"unknown config key '{stage}.seed'"):
+            validate_config({stage: {"seed": 1}})
+
     def test_unknown_synth_key_named(self):
         with pytest.raises(ValidationError, match="data.synth.domain_count"):
             validate_config({"data": {"synth": {"domain_count": 4}}})
@@ -48,6 +56,11 @@ class TestValidation:
         }
         with pytest.raises(ValidationError, match="color"):
             validate_config(cfg)
+
+    def test_duplicate_source_names_rejected(self):
+        src = {"name": "a", "path": "x", "format": "tsv"}
+        with pytest.raises(ValidationError, match="data.sources' has duplicate names"):
+            validate_config({"data": {"mode": "ingest", "sources": [src, dict(src)]}})
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ValidationError, match="embed.dim"):
@@ -135,13 +148,15 @@ class TestLoad:
 class TestResolve:
     def test_fills_every_stage_seed(self):
         resolved = resolve_config(validate_config({"seed": 9}))
-        for stage in STAGES:
+        for stage in SEEDED:
             assert resolved[stage]["seed"] == child_seed(9, "stage", stage)
+        for stage in set(STAGES) - set(SEEDED):
+            assert "seed" not in resolved[stage], stage
 
     def test_explicit_stage_seed_kept(self):
         resolved = resolve_config(validate_config({"seed": 9, "embed": {"seed": 123}}))
         assert resolved["embed"]["seed"] == 123
-        assert resolved["lm"]["seed"] == child_seed(9, "stage", "lm")
+        assert resolved["adapt"]["seed"] == child_seed(9, "stage", "adapt")
 
     def test_seed_override_wins(self):
         resolved = resolve_config(validate_config({"seed": 9}), seed_override=42)

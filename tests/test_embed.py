@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from domainsel.embed import (
     LR_END,
     LR_START,
     EmbeddingTable,
-    SentenceEmbeddingProvider,
     _draw_negatives,
     _noise_cdf,
     _sgns_loss,
@@ -209,31 +206,39 @@ class TestEmbeddingTableIO:
             )
 
 
+def embed_sentence_reference(table, text):
+    """The mean pooling of the former SentenceEmbeddingProvider.embed_sentence."""
+    token_ids = [table._index[t] for t in tokenize(text) if t in table]
+    if not token_ids:
+        return np.zeros(table.dim)
+    uniq, cnt = np.unique(np.array(token_ids), return_counts=True)
+    return (cnt[:, None] * table.matrix[uniq]).sum(axis=0) / len(token_ids)
+
+
 class TestMeanPooled:
-    def make_provider(self):
-        table = EmbeddingTable(
+    def make_table(self):
+        return EmbeddingTable(
             dim=2,
             domain="toy",
             tokens=("a", "b", "c"),
             matrix=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]),
         )
-        return SentenceEmbeddingProvider.mean_pooled(table)
 
     def test_repeated_token_is_its_vector(self):
-        provider = self.make_provider()
-        np.testing.assert_array_equal(provider.embed_sentence("a a"), [1.0, 0.0])
+        table = self.make_table()
+        np.testing.assert_array_equal(table.sentence_vector("a a"), [1.0, 0.0])
 
     def test_mean_of_two(self):
-        provider = self.make_provider()
-        np.testing.assert_array_equal(provider.embed_sentence("a b"), [0.5, 0.5])
+        table = self.make_table()
+        np.testing.assert_array_equal(table.sentence_vector("a b"), [0.5, 0.5])
 
     def test_oov_skipped(self):
-        provider = self.make_provider()
-        np.testing.assert_array_equal(provider.embed_sentence("a zzz"), [1.0, 0.0])
+        table = self.make_table()
+        np.testing.assert_array_equal(table.sentence_vector("a zzz"), [1.0, 0.0])
 
     def test_all_oov_zero_vector(self):
-        provider = self.make_provider()
-        np.testing.assert_array_equal(provider.embed_sentence("zzz qqq"), [0.0, 0.0])
+        table = self.make_table()
+        np.testing.assert_array_equal(table.sentence_vector("zzz qqq"), [0.0, 0.0])
 
     def test_permutation_invariance_exact(self):
         table = EmbeddingTable(
@@ -242,42 +247,28 @@ class TestMeanPooled:
             tokens=tuple("abcdefg"),
             matrix=np.random.default_rng(0).normal(size=(7, 3)),
         )
-        provider = SentenceEmbeddingProvider.mean_pooled(table)
         words = list("a b c d e f g a b c".split())
-        base = provider.embed_sentence(" ".join(words))
+        base = table.sentence_vector(" ".join(words))
         rng = np.random.default_rng(1)
         for _ in range(10):
             rng.shuffle(words)
             np.testing.assert_array_equal(
-                provider.embed_sentence(" ".join(words)), base
+                table.sentence_vector(" ".join(words)), base
             )
 
-
-class TestFileLoaded:
-    def write_store(self, tmp_path):
-        path = tmp_path / "sent.jsonl"
-        rows = [
-            {"key": "news/train/0/a", "vec": [0.1, 0.2]},
-            {"key": "news/train/0/b", "vec": [0.3, 0.4]},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        return path
-
-    def test_lookup(self, tmp_path):
-        provider = SentenceEmbeddingProvider.file_loaded(self.write_store(tmp_path))
-        assert provider.mode == "file_loaded"
-        assert provider.dim == 2
-        np.testing.assert_array_equal(
-            provider.embed_sentence("news/train/0/b"), [0.3, 0.4]
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_provider_pooling(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = [f"w{i}" for i in range(40)]
+        table = EmbeddingTable(
+            dim=16, domain="r", tokens=tuple(vocab[:30]),
+            matrix=rng.normal(size=(30, 16)) * 10.0 ** rng.uniform(-3, 3, size=(30, 1)),
         )
-
-    def test_miss_names_key(self, tmp_path):
-        provider = SentenceEmbeddingProvider.file_loaded(self.write_store(tmp_path))
-        with pytest.raises(ValidationError, match="news/train/9/a"):
-            provider.embed_sentence("news/train/9/a")
-
-    def test_inconsistent_dim_rejected(self, tmp_path):
-        path = tmp_path / "sent.jsonl"
-        path.write_text('{"key": "k1", "vec": [1.0]}\n{"key": "k2", "vec": [1.0, 2.0]}\n')
-        with pytest.raises(ValidationError, match="line 2"):
-            SentenceEmbeddingProvider.file_loaded(path)
+        texts = [
+            " ".join(rng.choice(vocab, size=rng.integers(1, 25))) for _ in range(200)
+        ]
+        texts += ["", "w35 w39 w30", "w31"]  # no in-table token at all
+        for text in texts:
+            got = table.sentence_vector(text)
+            want = embed_sentence_reference(table, text)
+            assert got.tobytes() == want.tobytes(), text

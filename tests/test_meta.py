@@ -10,7 +10,6 @@ from domainsel.meta import (
     _noisy_quicksort,
     build_ranker_samples,
     domain_ranker,
-    feature_importance,
     load_orderings,
     loto_splits,
     multi_sort,
@@ -211,7 +210,7 @@ class TestSuccessPredictor:
         features, labels, _ = monotone_world(DOMAINS, seed=1)
         split = loto_splits(DOMAINS, "predictor")[0]
         model, _ = success_predictor(features, labels, split, FAST)
-        imp = feature_importance(model)
+        imp = model.feature_importance()
         assert set(imp) == {f"f{i}" for i in range(1, 11)}
         assert imp["f1"] > 0.9  # only informative feature in this world
         assert abs(sum(imp.values()) - 1.0) < 1e-9

@@ -1,9 +1,15 @@
 """Workspace manifest and job scheduling semantics."""
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import domainsel
 from domainsel.errors import StageError, ValidationError
 from domainsel.workspace import Job, Workspace, run_stage
 
@@ -141,3 +147,34 @@ class TestRunStage:
         with pytest.raises(StageError, match="par"):
             run_stage(ws, "demo", "h1", jobs, n_jobs=3)
         assert not ws.path("bad.txt").exists()
+
+    def test_kill_mid_rebuild_leaves_outputs_unrecorded(self, tmp_path):
+        ws = Workspace(tmp_path / "w")
+
+        def build():
+            ws.path("a.txt").write_text("a" * 100)
+            ws.path("b.txt").write_text("b" * 100)
+
+        run_stage(ws, "demo", "h1", [Job(["a.txt", "b.txt"], build)])
+        ws.path("b.txt").unlink()
+        # The rebuild is killed halfway through writing b.txt.
+        child = textwrap.dedent("""
+            import os, sys
+            from domainsel.workspace import Job, Workspace, run_stage
+            ws = Workspace(sys.argv[1])
+            def build():
+                ws.path("a.txt").write_text("a" * 100)
+                with open(ws.path("b.txt"), "w") as f:
+                    f.write("b" * 50)
+                    f.flush()
+                    os._exit(9)
+            run_stage(ws, "demo", "h1", [Job(["a.txt", "b.txt"], build)])
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(domainsel.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", child, str(ws.root)], env=env)
+        assert proc.returncode == 9
+        assert ws.path("b.txt").read_text() == "b" * 50
+        assert ws.load_manifest()["artifacts"] == {}
+        result = run_stage(ws, "demo", "h1", [Job(["a.txt", "b.txt"], build)])
+        assert sorted(result.built) == ["a.txt", "b.txt"]
+        assert ws.path("b.txt").read_text() == "b" * 100
