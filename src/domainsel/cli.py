@@ -1,16 +1,25 @@
 """Command line entry point.
 
 Every subcommand runs the pipeline up to its stage, reusing artifacts
-whose config has not changed. Exit codes: 0 success, 1 invalid input or
+whose inputs have not changed. Exit codes: 0 success, 1 invalid input or
 config, 2 a computation failed.
 """
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
+
+# One BLAS thread per worker unless the user set otherwise; numpy reads these
+# when it loads. A BLAS pool under each `--jobs` thread oversubscribes the
+# cores: on 2 vCPUs the 300-example downstream took 16.3 s at --jobs 2 unpinned
+# against 7.9 s pinned.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from .config import META_MODES, load_config, resolve_config, validate_config
 from .errors import ComputationError, ValidationError

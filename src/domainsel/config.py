@@ -1,10 +1,9 @@
 """Pipeline configuration: schema, validation, seeds, and hashing.
 
-One JSON file drives every stage. Unknown keys are rejected by name, all
+One JSON file drives every stage. Unknown keys are rejected by name, and all
 randomness flows from the master seed (each stage that draws random numbers
-has a `seed` that may pin its own), and each stage gets a content hash
-chained through its upstream stages so the workspace can tell exactly which
-artifacts a config change invalidates.
+has a `seed` that may pin its own). `config_hash` digests canonical JSON; the
+pipeline keys each job by the hash of the config values and files it reads.
 """
 from __future__ import annotations
 
@@ -19,17 +18,6 @@ from .synth import child_seed
 STAGES = (
     "data", "embed", "lm", "features", "adapt", "downstream", "meta", "report",
 )
-
-STAGE_PARENTS = {
-    "data": (),
-    "embed": ("data",),
-    "lm": ("data",),
-    "features": ("data", "embed", "lm"),
-    "adapt": ("data", "embed"),
-    "downstream": ("data", "embed", "adapt"),
-    "meta": ("features", "downstream"),
-    "report": ("meta", "downstream", "adapt"),
-}
 
 META_MODES = ("predictor", "ranker")
 
@@ -228,21 +216,7 @@ def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:
     return resolved
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def config_hash(resolved: dict) -> str:
-    return hashlib.sha256(_canonical(resolved).encode("utf-8")).hexdigest()
-
-
-def stage_hashes(resolved: dict) -> dict:
-    """Per-stage content hash, chained through each stage's parents."""
-    hashes: dict[str, str] = {}
-    for stage in STAGES:
-        payload = _canonical(resolved[stage])
-        parents = "".join(hashes[p] for p in STAGE_PARENTS[stage])
-        hashes[stage] = hashlib.sha256(
-            f"{stage}:{payload}:{parents}".encode("utf-8")
-        ).hexdigest()
-    return hashes
+def config_hash(obj) -> str:
+    """sha256 of the canonical (sorted-key, compact) JSON of a config value."""
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

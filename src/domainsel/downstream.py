@@ -269,7 +269,7 @@ def success_labels(matrix: F1Matrix, threshold: float = DEFAULT_SUCCESS_THRESHOL
     return normalized, success
 
 
-def save_f1_matrix(matrix: F1Matrix, directory, threshold: float) -> None:
+def save_f1_matrix(matrix: F1Matrix, directory) -> None:
     """One CSV per seed plus the mean, and a JSON sidecar manifest."""
     def write(path, m):
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -285,14 +285,13 @@ def save_f1_matrix(matrix: F1Matrix, directory, threshold: float) -> None:
     manifest = {
         "variant": matrix.variant,
         "seeds": sorted(int(s) for s in matrix.per_seed),
-        "threshold": threshold,
         "domains": list(matrix.domains),
     }
     with open(directory / f"{base}.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
 
 
-def load_f1_matrix(directory, variant: str) -> tuple[F1Matrix, float]:
+def load_f1_matrix(directory, variant: str) -> F1Matrix:
     base = f"f1_{variant}"
     with open(directory / f"{base}.json", "r", encoding="utf-8") as f:
         manifest = json.load(f)
@@ -329,5 +328,4 @@ def load_f1_matrix(directory, variant: str) -> tuple[F1Matrix, float]:
 
     per_seed = {s: read(directory / f"{base}_seed{s}.csv") for s in manifest["seeds"]}
     mean = read(directory / f"{base}_mean.csv")
-    matrix = F1Matrix(domains=domains, per_seed=per_seed, mean=mean, variant=variant)
-    return matrix, float(manifest["threshold"])
+    return F1Matrix(domains=domains, per_seed=per_seed, mean=mean, variant=variant)

@@ -26,12 +26,11 @@ _HEADER_PREFIX = "kn-trigram"
 class TrigramLM:
     """Immutable after construction; safe for concurrent scoring."""
 
-    def __init__(self, discount: float, vocab: frozenset[str], c1, c2, c3):
+    def __init__(self, discount: float, vocab: frozenset[str], c2, c3):
         if not 0.0 < discount < 1.0:
             raise ValidationError(f"discount must be in (0, 1), got {discount}")
         self.discount = discount
         self.vocab = vocab
-        self.c1 = dict(c1)
         self.c2 = dict(c2)
         self.c3 = dict(c3)
         self._build_derived()
@@ -93,8 +92,6 @@ class TrigramLM:
             f.write(f"{_HEADER_PREFIX} D={self.discount!r} vocab={len(self.vocab)}\n")
             for tok in sorted(self.vocab):
                 f.write(f"v {tok}\n")
-            for w, c in sorted(self.c1.items()):
-                f.write(f"1 {w} {c}\n")
             for (v, w), c in sorted(self.c2.items()):
                 f.write(f"2 {v} {w} {c}\n")
             for (u, v, w), c in sorted(self.c3.items()):
@@ -114,7 +111,6 @@ class TrigramLM:
             discount = float(header[1][2:])
             vocab_size = int(header[2][6:])
             vocab = set()
-            c1: dict = {}
             c2: dict = {}
             c3: dict = {}
             for lineno, line in enumerate(f, start=2):
@@ -122,8 +118,6 @@ class TrigramLM:
                 kind = fields[0]
                 if kind == "v" and len(fields) == 2:
                     vocab.add(fields[1])
-                elif kind == "1" and len(fields) == 3:
-                    c1[fields[1]] = int(fields[2])
                 elif kind == "2" and len(fields) == 4:
                     c2[(fields[1], fields[2])] = int(fields[3])
                 elif kind == "3" and len(fields) == 5:
@@ -134,7 +128,7 @@ class TrigramLM:
             raise ValidationError(
                 f"{path}: header claims {vocab_size} vocab entries, found {len(vocab)}"
             )
-        return cls(discount, frozenset(vocab), c1, c2, c3)
+        return cls(discount, frozenset(vocab), c2, c3)
 
 
 def _train_from_token_lists(token_lists, min_count: int, discount: float) -> TrigramLM:
@@ -145,17 +139,15 @@ def _train_from_token_lists(token_lists, min_count: int, discount: float) -> Tri
         raise ValidationError("no training tokens")
     vocab = frozenset(w for w, c in raw.items() if c >= min_count) | {UNK, BOS, EOS}
 
-    c1: Counter = Counter()
     c2: Counter = Counter()
     c3: Counter = Counter()
     for toks in token_lists:
         seq = [BOS, BOS] + [w if w in vocab else UNK for w in toks] + [EOS]
-        c1.update(seq)
         for i in range(1, len(seq)):
             c2[(seq[i - 1], seq[i])] += 1
         for i in range(2, len(seq)):
             c3[(seq[i - 2], seq[i - 1], seq[i])] += 1
-    return TrigramLM(discount, vocab, c1, c2, c3)
+    return TrigramLM(discount, vocab, c2, c3)
 
 
 def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:

@@ -1,16 +1,20 @@
 """Stage implementations over a workspace, in dependency order.
 
 data -> embed -> lm -> features -> adapt -> downstream -> meta -> report.
-Each stage is a set of independent jobs keyed to output files; a job runs
-only when its outputs are missing or their recorded config hash changed.
+Each stage runs in phases of independent jobs that write output files. A
+builder lists, next to each job, the config values and the workspace files
+it reads; the job's key hashes both (file bytes, not timestamps), and the job
+runs only when an output is missing or was recorded under another key.
 Every artifact is reproduced byte-identically from the same config and
 seeds, so reruns and parallel runs are interchangeable.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from . import corpus as corpus_mod
 from .adapt import (
     CONFIG_FIELDS, AdaptConfig, AdaptModel, encode, stack_marginalized, train_sda,
 )
-from .config import STAGES, stage_hashes
+from .config import STAGES, config_hash
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
     cross_domain_matrix,
@@ -68,6 +72,23 @@ def domain_names(cfg: dict) -> list:
     return sorted(src["name"] for src in data["sources"])
 
 
+def _sha256(path) -> str | None:
+    """Digest of a file's bytes; None if unreadable, so its job still runs
+    and reports the problem itself."""
+    try:
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+    except OSError:
+        return None
+
+
+def _phase_keys(ws: Workspace, stage: str, phase) -> dict:
+    """First output -> key of each (job, config values, input relpaths)."""
+    digests = {rel: _sha256(ws.path(rel)) for rel in {r for _, _, ins in phase for r in ins}}
+    return {job.outputs[0]: config_hash([stage, reads, [[r, digests[r]] for r in inputs]])
+            for job, reads, inputs in phase}
+
+
 def _load_corpora(ws: Workspace, names) -> dict:
     return {name: DomainCorpus.load(ws.path(_corpus_path(name))) for name in names}
 
@@ -76,41 +97,27 @@ def _data_jobs(ws: Workspace, cfg: dict) -> list:
     data = cfg["data"]
     ratios = tuple(data["split_ratios"])
     seed = data["seed"]
-    jobs = []
+    common = {"seed": seed, "split_ratios": data["split_ratios"]}
+
+    def job(name, load, reads):
+        def build():
+            assigned = corpus_mod.split(load(), ratios, seed=child_seed(seed, "split", name))
+            assigned.save(ws.path(_corpus_path(name)))
+        return Job([_corpus_path(name)], build, note=name), reads, []
+
     if data["mode"] == "synth":
         spec = spec_from_config(data["synth"], seed)
-
-        def make_synth(name):
-            def build():
-                generated = synth_domain(spec, name)
-                assigned = corpus_mod.split(
-                    generated, ratios, seed=child_seed(seed, "split", name)
-                )
-                assigned.save(ws.path(_corpus_path(name)))
-            return build
-
-        for name in spec.domains:
-            jobs.append(Job([_corpus_path(name)], make_synth(name), note=name))
-    else:
-        if not data["sources"]:
-            raise ValidationError("ingest mode needs at least one data.sources entry")
-
-        def make_ingest(src):
-            def build():
-                loaded = corpus_mod.load_domain(
-                    src["path"], src["format"], src["name"],
-                    src.get("binarize_threshold"),
-                )
-                assigned = corpus_mod.split(
-                    loaded, ratios, seed=child_seed(seed, "split", src["name"])
-                )
-                assigned.save(ws.path(_corpus_path(src["name"])))
-            return build
-
-        for src in data["sources"]:
-            _check_name(src["name"])
-            jobs.append(Job([_corpus_path(src["name"])], make_ingest(src), note=src["name"]))
-    return [jobs]
+        reads = dict(common, synth=data["synth"])
+        return [[job(n, partial(synth_domain, spec, n), reads) for n in spec.domains]]
+    if not data["sources"]:
+        raise ValidationError("ingest mode needs at least one data.sources entry")
+    return [[
+        job(_check_name(src["name"]),
+            partial(corpus_mod.load_domain, src["path"], src["format"], src["name"],
+                    src.get("binarize_threshold")),
+            dict(common, source=src, source_sha256=_sha256(src["path"])))
+        for src in data["sources"]
+    ]]
 
 
 GLOBAL_TABLE = "embeddings/global.txt"
@@ -164,14 +171,14 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
                 np.save(ws.path(_sentence_path(name, split, "b")), b)
         return build
 
-    tables = [Job([GLOBAL_TABLE], build_global, note="global")]
-    tables += [Job([_table_path(n)], make_table(n), note=n) for n in names]
+    tables = [(Job([GLOBAL_TABLE], build_global, note="global"), e,
+               [_corpus_path(n) for n in names])]
+    tables += [(Job([_table_path(n)], make_table(n), note=n), e, [_corpus_path(n)])
+               for n in names]
     sentences = [
-        Job(
-            [_sentence_path(n, s, side) for s in SPLITS for side in ("a", "b")],
-            make_sentences(n),
-            note=n,
-        )
+        (Job([_sentence_path(n, s, side) for s in SPLITS for side in ("a", "b")],
+             make_sentences(n), note=n),
+         None, [GLOBAL_TABLE, _corpus_path(n)])
         for n in names
     ]
     return [tables, sentences]
@@ -192,7 +199,8 @@ def _lm_jobs(ws: Workspace, cfg: dict) -> list:
             model.save(ws.path(_lm_path(name)))
         return build
 
-    return [[Job([_lm_path(n)], make(n), note=n) for n in domain_names(cfg)]]
+    return [[(Job([_lm_path(n)], make(n), note=n), settings, [_corpus_path(n)])
+             for n in domain_names(cfg)]]
 
 
 FEATURES_CSV = "features/features.csv"
@@ -219,11 +227,16 @@ def _features_jobs(ws: Workspace, cfg: dict) -> list:
                 )
         save_feature_matrix(matrix, ws.path(FEATURES_CSV))
 
-    return [[Job([FEATURES_CSV], build, note="features")]]
+    inputs = [path(n) for path in (_corpus_path, _table_path, _lm_path) for n in names]
+    return [[(Job([FEATURES_CSV], build, note="features"), settings, inputs)]]
 
 
 def _adapt_path(variant: str, s: str, t: str) -> str:
     return f"adapt/{variant}/{s}__{t}.json"
+
+
+def _train_sentences(*names) -> list:
+    return [_sentence_path(n, "train", side) for n in names for side in ("a", "b")]
 
 
 def _load_sentences(ws: Workspace, name: str, split: str):
@@ -235,6 +248,7 @@ def _load_sentences(ws: Workspace, name: str, split: str):
 def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
     names = domain_names(cfg)
     seed = cfg["adapt"]["seed"]
+    settings = {k: cfg["adapt"][k] for k in CONFIG_FIELDS}
     jobs = []
     pooled = {}
 
@@ -252,12 +266,12 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
     def make(variant, s, t):
         def build():
             X_s, X_t = columns(s), columns(t)
-            settings = AdaptConfig(variant, **{k: cfg["adapt"][k] for k in CONFIG_FIELDS})
+            adapt_cfg = AdaptConfig(variant, **settings)
             if variant == "sda":
-                model = train_sda(X_s, X_t, settings,
+                model = train_sda(X_s, X_t, adapt_cfg,
                                   seed=child_seed(seed, variant, s, t))
             else:
-                model = stack_marginalized(X_s, X_t, settings)
+                model = stack_marginalized(X_s, X_t, adapt_cfg)
             model.save(ws.path(_adapt_path(variant, s, t)))
         return build
 
@@ -267,10 +281,12 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
         for s in names:
             for t in names:
                 if s != t:
-                    jobs.append(
+                    jobs.append((
                         Job([_adapt_path(variant, s, t)], make(variant, s, t),
-                            note=f"{variant}:{s}->{t}")
-                    )
+                            note=f"{variant}:{s}->{t}"),
+                        dict(settings, variant=variant, seed=seed),
+                        _train_sentences(s, t),
+                    ))
     return [jobs] if jobs else []
 
 
@@ -329,11 +345,15 @@ def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
                 hidden=tuple(d["hidden"]), max_epochs=d["max_epochs"],
                 patience=d["patience"], batch=d["batch"], lr=d["lr"],
             )
-            save_f1_matrix(matrix, ws.path("downstream"), d["success_threshold"])
+            save_f1_matrix(matrix, ws.path("downstream"))
         return build
 
+    reads = {k: v for k, v in d.items() if k != "success_threshold"}
+    files = [_corpus_path(n) for n in names]
+    files += [_sentence_path(n, s, side) for n in names for s in SPLITS for side in ("a", "b")]
     return [[
-        Job(_downstream_outputs(v, d["seeds"]), make(v), note=v)
+        (Job(_downstream_outputs(v, d["seeds"]), make(v), note=v), reads,
+         files + [_adapt_path(v, s, t) for s in names for t in names if v != "none" and s != t])
         for v in cfg["adapt"]["variants"]
     ]]
 
@@ -362,6 +382,7 @@ def _classifier_metrics(model: GBDTModel, X: np.ndarray, y: np.ndarray) -> dict:
 def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                only_variant: str | None = None) -> list:
     m = cfg["meta"]
+    threshold = cfg["downstream"]["success_threshold"]
     names = domain_names(cfg)
     if len(names) < 3:
         raise ValidationError("meta models need at least 3 domains")
@@ -369,7 +390,7 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
     def make(mode, variant):
         def build():
             features = load_feature_matrix(ws.path(FEATURES_CSV))
-            matrix, threshold = load_f1_matrix(ws.path("downstream"), variant)
+            matrix = load_f1_matrix(ws.path("downstream"), variant)
             params = GBDTParams(
                 trees=m["trees"], depth=m["depth"],
                 learning_rate=m["learning_rate"],
@@ -413,6 +434,9 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                 )
         return build
 
+    common = {k: m[k] for k in ("trees", "depth", "learning_rate", "seed")}
+    reads = {"predictor": dict(common, success_threshold=threshold),
+             "ranker": dict(common, repeats=m["repeats"])}
     jobs = []
     for mode in m["modes"]:
         if only_mode and mode != only_mode:
@@ -422,7 +446,9 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                 continue
             outputs = [_orderings_path(mode, variant), _meta_report_path(mode, variant)]
             outputs += [_meta_model_path(mode, variant, t) for t in names]
-            jobs.append(Job(outputs, make(mode, variant), note=f"{mode}:{variant}"))
+            inputs = [FEATURES_CSV, *_downstream_outputs(variant, cfg["downstream"]["seeds"])]
+            jobs.append((Job(outputs, make(mode, variant), note=f"{mode}:{variant}"),
+                         reads[mode], inputs))
     return [jobs]
 
 
@@ -437,6 +463,7 @@ def _pca_path(s: str, t: str) -> str:
 def _report_jobs(ws: Workspace, cfg: dict) -> list:
     variants = cfg["adapt"]["variants"]
     modes = cfg["meta"]["modes"]
+    threshold = cfg["downstream"]["success_threshold"]
     names = domain_names(cfg)
     # The ordering table reports top-5 hits, so each target needs >= 5
     # candidate sources.
@@ -449,7 +476,7 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
         def build():
             orderings, truths, metrics = {}, {}, {}
             for variant in variants:
-                matrix, _ = load_f1_matrix(ws.path("downstream"), variant)
+                matrix = load_f1_matrix(ws.path("downstream"), variant)
                 predicted = load_orderings(ws.path(_orderings_path(mode, variant)))
                 with open(ws.path(_meta_report_path(mode, variant)),
                           encoding="utf-8") as f:
@@ -465,12 +492,8 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
         return build
 
     def build_table2_job():
-        matrices = {}
-        success = {}
-        for variant in variants:
-            matrix, threshold = load_f1_matrix(ws.path("downstream"), variant)
-            matrices[variant] = matrix
-            success[variant] = success_labels(matrix, threshold)[1]
+        matrices = {v: load_f1_matrix(ws.path("downstream"), v) for v in variants}
+        success = {v: success_labels(m, threshold)[1] for v, m in matrices.items()}
         table = build_table2(matrices, success)
         ws.path("report/table2.csv").write_text(table.to_csv(), encoding="utf-8")
         ws.path("report/table2.txt").write_text(table.render() + "\n", encoding="utf-8")
@@ -489,26 +512,28 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
         return build
 
     def build_summary():
-        from .config import config_hash
         payload = {
             "master_seed": cfg["seed"],
             "stage_seeds": {
                 stage: cfg[stage]["seed"] for stage in STAGES if "seed" in cfg[stage]
             },
             "config_hash": config_hash(cfg),
-            "stage_hashes": stage_hashes(cfg),
             "domains": names,
         }
         with open(ws.path("report/manifest.json"), "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
 
-    jobs = [Job(_table1_paths(mode), make_table1(mode), note=f"table1:{mode}")
+    f1_files = [p for v in variants for p in _downstream_outputs(v, cfg["downstream"]["seeds"])]
+    jobs = [(Job(_table1_paths(mode), make_table1(mode), note=f"table1:{mode}"), None,
+             f1_files + [path(mode, v) for v in variants
+                         for path in (_orderings_path, _meta_report_path)])
             for mode in modes]
-    jobs.append(Job(["report/table2.csv", "report/table2.txt"], build_table2_job,
-                    note="table2"))
+    jobs.append((Job(["report/table2.csv", "report/table2.txt"], build_table2_job,
+                     note="table2"), threshold, f1_files))
     for s, t in cfg["report"]["pca_pairs"]:
-        jobs.append(Job([_pca_path(s, t)], make_pca(s, t), note=f"pca:{s}->{t}"))
-    jobs.append(Job(["report/manifest.json"], build_summary, note="summary"))
+        jobs.append((Job([_pca_path(s, t)], make_pca(s, t), note=f"pca:{s}->{t}"), None,
+                     _train_sentences(s, t)))
+    jobs.append((Job(["report/manifest.json"], build_summary, note="summary"), cfg, []))
     return [jobs]
 
 
@@ -527,6 +552,8 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 # serial.
 POOLED_STAGES = ("downstream",)
 
+# Each builder returns its stage's phases, run in order: lists of (job, the
+# config values it reads, the workspace files it reads), which key the job.
 _STAGE_BUILDERS = {
     "data": _data_jobs,
     "embed": _embed_jobs,
@@ -549,11 +576,10 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
     `n_jobs` threads serve only the stages in POOLED_STAGES; the others run
     their jobs serially.
     `only_mode`/`only_variant` narrow which meta models get built without
-    touching stage hashes, so a later full run reuses everything.
+    touching any job's key, so a later full run reuses everything.
     """
     if upto not in STAGES:
         raise ValidationError(f"unknown stage {upto!r}")
-    hashes = stage_hashes(resolved)
     results = {}
     for stage in STAGES[: STAGES.index(upto) + 1]:
         combined = StageResult()
@@ -562,7 +588,8 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
         else:
             phases = _STAGE_BUILDERS[stage](ws, resolved)
         for phase in phases:
-            done = run_stage(ws, stage, hashes[stage], phase,
+            done = run_stage(ws, stage, _phase_keys(ws, stage, phase),
+                             [job for job, _, _ in phase],
                              n_jobs=n_jobs if stage in POOLED_STAGES else 1,
                              seed=resolved[stage].get("seed"))
             combined.built.extend(done.built)

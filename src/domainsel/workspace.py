@@ -1,8 +1,9 @@
 """Workspace directory with a manifest tracking artifact provenance.
 
-Every artifact records the chained config hash and seed (null for a stage
-without one) of the stage that produced it. A job reruns only when an
-output is missing or its recorded hash no longer matches; stale artifacts
+Every artifact records the key of the job that produced it, its stage and
+its seed (null for a stage without one). The caller computes each job's key
+from everything the job reads (see `pipeline`). A job reruns only when an
+output is missing or its recorded key no longer matches; stale artifacts
 are logged and rebuilt, never silently reused. Failed jobs delete their
 partial outputs; outputs leave the manifest before their job rebuilds them,
 so a killed build is redone.
@@ -99,9 +100,12 @@ def _wrap_error(stage: str, job: Job, e: Exception):
     return StageError(stage, str(label), f"{type(e).__name__}: {e}")
 
 
-def run_stage(ws: Workspace, stage: str, stage_hash: str, jobs,
+def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
               n_jobs: int = 1, seed: int | None = None) -> StageResult:
     """Run the stale subset of `jobs`, then record outputs in the manifest.
+
+    `keys` maps each job's first output to that job's key; every output of
+    a job is fresh while the manifest holds that key for it.
 
     Jobs must be independent of each other; with n_jobs > 1 they run on a
     thread pool, which cannot change any numeric output because every job
@@ -115,13 +119,14 @@ def run_stage(ws: Workspace, stage: str, stage_hash: str, jobs,
     result = StageResult()
     pending = []
     for job in jobs:
+        key = keys[job.outputs[0]]
         fresh = True
         for rel in job.outputs:
             entry = artifacts.get(rel)
             if entry is None or not ws.path(rel).exists():
                 fresh = False
-            elif entry.get("hash") != stage_hash:
-                log.info("stale artifact %s (config changed); rebuilding", rel)
+            elif entry.get("key") != key:
+                log.info("stale artifact %s (inputs changed); rebuilding", rel)
                 fresh = False
         if fresh:
             result.skipped.extend(job.outputs)
@@ -141,7 +146,7 @@ def run_stage(ws: Workspace, stage: str, stage_hash: str, jobs,
 
     def record(job: Job) -> None:
         for rel in job.outputs:
-            artifacts[rel] = {"stage": stage, "hash": stage_hash, "seed": seed}
+            artifacts[rel] = {"stage": stage, "key": keys[job.outputs[0]], "seed": seed}
         result.built.extend(job.outputs)
 
     log.info("stage %s: building %d jobs", stage, len(pending))

@@ -310,7 +310,7 @@ def test_criterion_6_end_to_end(synthetic_worlds):
     pred_top1, rank_top1, pred_crp, rank_crp = [], [], [], []
     for seed, (ws, cfg) in synthetic_worlds.items():
         spec = spec_from_config(cfg["data"]["synth"], cfg["data"]["seed"])
-        matrix, _ = load_f1_matrix(ws.path("downstream"), "none")
+        matrix = load_f1_matrix(ws.path("downstream"), "none")
         names = list(matrix.domains)
         pairs = [(s, t) for s in names for t in names if s != t]
         overlaps = [mixture_overlap(spec, s, t) for s, t in pairs]

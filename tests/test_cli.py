@@ -1,12 +1,17 @@
 """End-to-end command line runs on a small synthetic world."""
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import domainsel
 from domainsel.cli import main
-from domainsel.config import load_config, resolve_config
+from domainsel.config import load_config, resolve_config, validate_config
 from domainsel.pipeline import run_pipeline
 from domainsel.synth import SyntheticSpec, synth_domain
 from domainsel.workspace import Workspace
@@ -78,9 +83,7 @@ class TestPipeline:
             stage: resolved[stage]["seed"] for stage in ("data", "embed", "adapt", "meta")
         }
         assert len(summary["config_hash"]) == 64
-        assert sorted(summary["stage_hashes"]) == sorted(resolved and [
-            "data", "embed", "lm", "features", "adapt", "downstream", "meta", "report"
-        ])
+        assert "stage_hashes" not in summary
 
     def test_rerun_recomputes_nothing(self, world):
         ws_path, cfg_path = world
@@ -305,6 +308,22 @@ def test_domains_come_from_config(tmp_path, caplog):
                if rec.levelname == "WARNING")
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_pins_blas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update({k: preset for k in BLAS_THREAD_VARS if preset})
+    env["PYTHONPATH"] = str(Path(domainsel.__file__).parents[1])
+    probe = "import os, domainsel.cli; print(*(os.environ[k] for k in %r))" % (
+        BLAS_THREAD_VARS,)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [expected] * len(BLAS_THREAD_VARS)
+
+
 class TestErrors:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
@@ -437,3 +456,88 @@ class TestIngest:
         rc = main(["ingest", "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
         assert rc in (1, 2)
         assert "gone.jsonl" in capsys.readouterr().err
+
+    def test_deleted_source_row_rebuilds_that_corpus_only(self, jsonl_world, tmp_path):
+        _, cfg_path = jsonl_world
+        cfg = json.loads(cfg_path.read_text())
+        for src in cfg["data"]["sources"]:
+            src["path"] = str(shutil.copy(src["path"], tmp_path))
+        resolved = resolve_config(validate_config(cfg))
+        ws = Workspace(tmp_path / "ws")
+        run_pipeline(ws, resolved, upto="data")
+        before = ws.path("corpora/chat.json").read_bytes()
+        source = tmp_path / "chat.jsonl"
+        source.write_text("".join(source.read_text().splitlines(keepends=True)[1:]))
+        assert built(run_pipeline(ws, resolved, upto="data")) == {"corpora/chat.json"}
+        assert ws.path("corpora/chat.json").read_bytes() != before
+        assert built(run_pipeline(ws, resolved, upto="data")) == set()
+
+
+def built(results) -> set:
+    return {rel for r in results.values() for rel in r.built}
+
+
+def merged(base: dict, edit: dict) -> dict:
+    out = json.loads(json.dumps(base))
+    for key, value in edit.items():
+        out[key] = merged(out[key], value) if isinstance(value, dict) else value
+    return out
+
+
+class TestStaleness:
+    """Each job reruns when, and only when, a config value or file it reads changed."""
+
+    def rerun(self, world, tmp_path, edit):
+        """Rerun a copy of the built world at another path under an edited config."""
+        ws = tmp_path / "copy"
+        shutil.copytree(world[0], ws)
+        resolved = resolve_config(validate_config(merged(SMALL_CONFIG, edit)))
+        return ws, resolved, run_pipeline(Workspace(ws), resolved)
+
+    def test_copied_workspace_stays_fresh(self, world, tmp_path):
+        ws, _, results = self.rerun(world, tmp_path, {})
+        assert built(results) == set()
+        assert tree_hashes(ws) == tree_hashes(world[0])
+
+    def test_threshold_edit_retrains_no_pair_classifier(self, world, tmp_path, monkeypatch):
+        import domainsel.downstream as downstream_mod
+        calls = []
+        real = downstream_mod.train_pair_classifier
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(downstream_mod, "train_pair_classifier", counted)
+        ws, resolved, results = self.rerun(
+            world, tmp_path, {"downstream": {"success_threshold": 0.75}})
+        assert calls == []
+        rebuilt = built(results)
+        assert {rel.split("/")[0] for rel in rebuilt} == {"meta", "report"}
+        assert not [rel for rel in rebuilt if "ranker" in rel]
+        cold = tmp_path / "cold"
+        run_pipeline(Workspace(cold), resolved)
+        assert tree_hashes(ws) == tree_hashes(cold)
+
+    def test_adding_a_variant_rebuilds_no_none_output(self, world, tmp_path):
+        _, _, results = self.rerun(world, tmp_path, {"adapt": {"variants": ["none", "msda"]}})
+        rebuilt = built(results)
+        assert "downstream/f1_msda_mean.csv" in rebuilt
+        assert [rel for rel in rebuilt if "_none" in rel] == []
+
+    def test_pca_pair_edit_builds_only_the_new_projection(self, world, tmp_path):
+        pairs = SMALL_CONFIG["report"]["pca_pairs"] + [["syn02", "syn03"]]
+        _, _, results = self.rerun(world, tmp_path, {"report": {"pca_pairs": pairs}})
+        assert built(results) == {"report/pca_syn02__syn03.csv", "report/manifest.json"}
+
+    def test_embed_edit_keeps_corpora_and_lms(self, world, tmp_path):
+        _, _, results = self.rerun(world, tmp_path, {"embed": {"dim": 6}})
+        assert results["data"].built == [] and results["lm"].built == []
+        for stage in ("embed", "features", "downstream", "meta", "report"):
+            assert results[stage].built, stage
+
+    def test_master_seed_change_rebuilds_everything(self, world, tmp_path):
+        _, _, results = self.rerun(world, tmp_path, {"seed": 4})
+        assert all(r.skipped == [] for r in results.values())
+        assert built(results) == set(json.loads(
+            (world[0] / "manifest.json").read_text())["artifacts"])

@@ -1,4 +1,4 @@
-"""Config validation, merging, seed resolution, and stage hashing."""
+"""Config validation, merging, seed resolution, and config hashing."""
 import json
 
 import pytest
@@ -9,7 +9,6 @@ from domainsel.config import (
     config_hash,
     load_config,
     resolve_config,
-    stage_hashes,
     validate_config,
 )
 from domainsel.errors import ValidationError
@@ -178,34 +177,3 @@ class TestHashes:
     def test_any_change_changes_config_hash(self):
         other = resolve_config(validate_config({"seed": 1, "embed": {"dim": 32}}))
         assert config_hash(other) != config_hash(self.base())
-
-    def test_stage_hash_covers_all_stages(self):
-        hashes = stage_hashes(self.base())
-        assert sorted(hashes) == sorted(STAGES)
-
-    def test_downstream_stages_invalidated_by_upstream_change(self):
-        base = stage_hashes(self.base())
-        changed = stage_hashes(
-            resolve_config(validate_config({"seed": 1, "embed": {"dim": 32}}))
-        )
-        assert changed["data"] == base["data"]
-        assert changed["lm"] == base["lm"]
-        for stage in ("embed", "features", "adapt", "downstream", "meta", "report"):
-            assert changed[stage] != base[stage], stage
-
-    def test_report_only_change_leaves_others_alone(self):
-        base = stage_hashes(self.base())
-        changed = stage_hashes(
-            resolve_config(
-                validate_config({"seed": 1, "report": {"pca_pairs": [["a", "b"]]}})
-            )
-        )
-        for stage in STAGES[:-1]:
-            assert changed[stage] == base[stage], stage
-        assert changed["report"] != base["report"]
-
-    def test_master_seed_changes_everything(self):
-        base = stage_hashes(self.base())
-        changed = stage_hashes(resolve_config(validate_config({"seed": 2})))
-        for stage in STAGES:
-            assert changed[stage] != base[stage], stage

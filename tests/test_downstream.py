@@ -218,9 +218,8 @@ class TestSuccessLabels:
 class TestF1MatrixIO:
     def test_roundtrip(self, tmp_path):
         m = toy_matrix()
-        save_f1_matrix(m, tmp_path, threshold=0.8)
-        loaded, threshold = load_f1_matrix(tmp_path, "DT")
-        assert threshold == 0.8
+        save_f1_matrix(m, tmp_path)
+        loaded = load_f1_matrix(tmp_path, "DT")
         assert loaded.domains == m.domains
         np.testing.assert_array_equal(loaded.mean, m.mean)
         for seed in m.per_seed:
@@ -235,7 +234,7 @@ class TestF1MatrixIO:
         (lambda lines: [], r"line 1: column header"),
     ])
     def test_damaged_csv_names_file_and_line(self, tmp_path, edit, where):
-        save_f1_matrix(toy_matrix(), tmp_path, threshold=0.8)
+        save_f1_matrix(toy_matrix(), tmp_path)
         path = tmp_path / "f1_DT_seed1.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(edit(lines)), encoding="utf-8")
@@ -244,6 +243,6 @@ class TestF1MatrixIO:
 
     def test_files_written(self, tmp_path):
         m = toy_matrix()
-        save_f1_matrix(m, tmp_path, threshold=0.8)
+        save_f1_matrix(m, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"f1_DT_seed0.csv", "f1_DT_seed1.csv", "f1_DT_mean.csv", "f1_DT.json"}

@@ -130,7 +130,7 @@ class TestPerplexity:
         toks = ["a", UNK, BOS, EOS]
         c2 = {(u, v): 1 for u in toks for v in toks}
         c3 = {(u, v, w): 1 for u in toks for v in toks for w in toks}
-        lm = TrigramLM(0.75, frozenset(toks), {t: 1 for t in toks}, c2, c3)
+        lm = TrigramLM(0.75, frozenset(toks), c2, c3)
         for u in toks:
             for v in toks:
                 for w in toks:
