@@ -4,7 +4,7 @@ Word vectors are trained with negative sampling, once on the merged corpus
 and once per domain. The pipeline seeds each per-domain table separately
 (`child_seed(seed, "table", name)`) over its own vocabulary, so coordinates
 are not aligned across domains and the word-vector-variance feature that
-compares them carries little signal (ROADMAP item 5). Sentence vectors are
+compares them carries little signal (ROADMAP item 4). Sentence vectors are
 the mean of a trained table's word vectors.
 """
 from __future__ import annotations
@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 
 LR_START = 0.025
 LR_END = 0.0001
+# Texts whose update slots are laid out at once. It bounds the memory of the
+# slot arrays; the table is the same for any value.
+TEXTS_PER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class EmbeddingTable:
         """word2vec text format: `<vocab> <dim>` then one token per line."""
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{len(self.tokens)} {self.dim}\n")
-            for tok, row in zip(self.tokens, self.matrix):
-                f.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            for tok, row in zip(self.tokens, self.matrix.tolist()):
+                f.write(tok + " " + " ".join(map(repr, row)) + "\n")
 
     @classmethod
     def load(cls, path, domain: str = "") -> "EmbeddingTable":
@@ -131,6 +134,37 @@ def _contexts(seq, window):
     return seq[j[valid]], valid.sum(axis=1)
 
 
+def _slots(ids, contexts, negatives):
+    """The update slots of a run of texts, text by text.
+
+    A text's slots are its (center, context) pairs in center order, then
+    `negatives` shared slots per center that has contexts, also in center
+    order. Returns, per slot, the center's position in the run, its word id,
+    the output row (context ids; shared slots are left for the caller's
+    draws), the shared-slot mask and the weight (1 for a context, the
+    center's context count k for a shared negative); and (first slot, first
+    shared slot, end) of each text that has slots.
+    """
+    n_ctx = np.concatenate([n for _, n in contexts])
+    active = np.flatnonzero(n_ctx)
+    owner = np.concatenate([np.repeat(np.arange(len(n_ctx)), n_ctx),
+                            np.repeat(active, negatives)])
+    shared = np.arange(len(owner)) >= n_ctx.sum()
+    text = np.repeat(np.arange(len(ids)), [len(seq) for seq in ids])[owner]
+    order = np.argsort(2 * text + shared, kind="stable")
+    owner, shared, text = owner[order], shared[order], text[order]
+    rows = np.concatenate([ctx for ctx, _ in contexts]
+                          + [np.zeros(len(active) * negatives, dtype=np.int64)])[order]
+    weight = np.where(shared, n_ctx[owner], 1).astype(np.float64)
+    per_text = np.bincount(text, minlength=len(ids))
+    ends = np.cumsum(per_text)
+    firsts = ends - per_text
+    mids = firsts + np.bincount(text[~shared], minlength=len(ids))
+    bounds = [(a, p, b) for a, p, b in zip(firsts.tolist(), mids.tolist(), ends.tolist())
+              if b > a]
+    return owner, np.concatenate(ids)[owner], rows, shared, weight, bounds
+
+
 def train_skipgram(
     corpus: DomainCorpus,
     dim: int,
@@ -141,9 +175,15 @@ def train_skipgram(
 ) -> EmbeddingTable:
     """Skipgram with negative sampling, deterministic for a fixed seed.
 
-    Single-threaded, fixed iteration order over texts. Negatives are drawn
-    from the unigram distribution raised to 0.75. The step size decays
-    linearly from 0.025 to 0.0001 over all center-word updates.
+    Single-threaded, fixed iteration order over texts, one update per text
+    (HogBatch; Ji et al., 2016): every center word of a text is scored
+    against the weights as they stood at the start of the text, then the
+    whole update is applied at once, accumulating over repeated words. A
+    center with k contexts draws `negatives` noise words once, from the
+    unigram distribution raised to 0.75, and shares them across its
+    contexts, each weighted by k so that its expected gradient is that of
+    k independent sets. Each center's terms take its own step of a schedule
+    that decays linearly from 0.025 to 0.0001 over all center words.
     """
     split = "train" if corpus.splits is not None else None
     token_lists = [tokenize(t) for t in corpus.texts(split)]
@@ -184,36 +224,32 @@ def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, do
 
     losses = [_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg)]
     cdf = _noise_cdf(noise)
-    # Row-major cells of w_out, so that one 1-D np.add.at applies a center's
-    # context rows then its negative rows in the order two row-wise calls would.
-    flat_out = w_out.reshape(-1)
+    # Flat views: one 1-D np.add.at per table applies a text's update and
+    # accumulates over repeated rows.
+    flat_in, flat_out = w_in.reshape(-1), w_out.reshape(-1)
     cols = np.arange(dim)
-    total_centers = epochs * sum(len(seq) for seq in ids)
-    done = 0
-    for _epoch in range(epochs):
-        for seq, (ctx_all, n_ctx) in zip(ids, contexts):
-            # One block of negatives per text, sliced per center in order.
-            neg_all = _draw_negatives(rng, cdf, len(ctx_all) * negatives)
-            a = 0
-            for c, k in zip(seq.tolist(), n_ctx.tolist()):
-                lr = LR_START + (LR_END - LR_START) * (done / total_centers)
-                done += 1
-                if k == 0:
-                    continue
-                rows = np.concatenate([ctx_all[a : a + k],
-                                       neg_all[a * negatives : (a + k) * negatives]])
-                a += k
-                v = w_in[c]
-                out = w_out[rows]
-                out_ctx, out_neg = out[:k], out[k:]
-                # Two products, not one over `out`: BLAS may sum a row in
-                # another order when the matrix has more rows.
-                g = _sigmoid(np.concatenate([out_ctx @ v, out_neg @ v]))
-                g[:k] -= 1.0  # positive pairs: sigmoid - 1
-                grad_v = g[:k] @ out_ctx + g[k:] @ out_neg
-                np.add.at(flat_out, (rows[:, None] * dim + cols).ravel(),
-                          (-lr * g[:, None] * v).ravel())
-                w_in[c] = v - lr * grad_v
+    first_center = np.cumsum([0] + [len(seq) for seq in ids])
+    per_epoch = int(first_center[-1])
+    total_centers = epochs * per_epoch
+    for epoch in range(epochs):
+        for lo in range(0, len(ids), TEXTS_PER_BLOCK):
+            hi = lo + TEXTS_PER_BLOCK
+            owner, centers, rows, shared, weight, bounds = _slots(
+                ids[lo:hi], contexts[lo:hi], negatives)
+            # One draw for the block equals one per text in turn.
+            rows[shared] = _draw_negatives(rng, cdf, int(shared.sum()))
+            # Each slot takes its center's step of the linear schedule.
+            done = epoch * per_epoch + first_center[lo] + owner
+            scale = -(LR_START + (LR_END - LR_START) * (done / total_centers)) * weight
+            for a, p, b in bounds:
+                r, c = rows[a:b], centers[a:b]
+                # Every score and gradient uses the weights at the start of the text.
+                u, v = w_out[r], w_in[c]
+                g = _sigmoid(np.einsum("ij,ij->i", u, v))
+                g[: p - a] -= 1.0  # context slots: sigmoid - 1
+                g *= scale[a:b]
+                np.add.at(flat_in, (c[:, None] * dim + cols).ravel(), (g[:, None] * u).ravel())
+                np.add.at(flat_out, (r[:, None] * dim + cols).ravel(), (g[:, None] * v).ravel())
         losses.append(_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg))
 
     log.debug("skipgram '%s': vocab=%d loss %.4f -> %.4f",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gbdt import GBDTParams, gbdt_train_cv
+from .gbdt import GBDTModel, GBDTParams, gbdt_train_cv
 from .simfeat import FEATURE_NAMES, FeatureVector
 
 log = logging.getLogger(__name__)
@@ -145,6 +145,15 @@ def _require(mapping, key, what):
     return mapping[key]
 
 
+def _fit(X, y, params: GBDTParams, feature_names) -> GBDTModel:
+    """gbdt_train_cv, or, when the train labels hold one class, a model with
+    no trees: every row then scores 0.5 and orderings fall back to name
+    order."""
+    if len(np.unique(y)) == 1:
+        return GBDTModel([], params.learning_rate, X.shape[1], feature_names)
+    return gbdt_train_cv(X, y, params, feature_names=feature_names)
+
+
 def success_predictor(features, labels, split: LotoSplit,
                       params: GBDTParams = GBDTParams()):
     """Train on the split's train pairs, order the held-out target's sources.
@@ -158,7 +167,7 @@ def success_predictor(features, labels, split: LotoSplit,
         [_require(features, pair, "features").as_array() for pair in split.train]
     )
     y = np.array([float(_require(labels, pair, "label")) for pair in split.train])
-    model = gbdt_train_cv(X, y, params, feature_names=FEATURE_NAMES)
+    model = _fit(X, y, params, FEATURE_NAMES)
 
     candidates = sorted(source for source, _ in split.test)
     rows = np.array(
@@ -190,7 +199,7 @@ def domain_ranker(samples, split: LotoSplit, params: GBDTParams = GBDTParams(),
     }
     X = np.array([s.features for s in train])
     y = np.array([float(s.label) for s in train])
-    model = gbdt_train_cv(X, y, params, feature_names=RANKER_FEATURE_NAMES)
+    model = _fit(X, y, params, RANKER_FEATURE_NAMES)
 
     # Score every held-out pair once; the comparator only looks them up.
     pairs = list(test)

@@ -157,9 +157,23 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
             table.save(ws.path(_table_path(name)))
         return build
 
+    shared = {}
+
+    def global_table():
+        """The global table, read-only and loaded once.
+
+        Shared by every sentence job of this stage; the embed stage runs them
+        serially.
+        """
+        if not shared:
+            table = EmbeddingTable.load(ws.path(GLOBAL_TABLE), domain="global")
+            table.matrix.flags.writeable = False
+            shared["global"] = table
+        return shared["global"]
+
     def make_sentences(name):
         def build():
-            table = EmbeddingTable.load(ws.path(GLOBAL_TABLE), domain="global")
+            table = global_table()
             loaded = DomainCorpus.load(ws.path(_corpus_path(name)))
             for split in SPLITS:
                 examples = loaded.subset(split)
@@ -409,11 +423,13 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
             orderings = []
             per_target = {}
             importance = {}
+            degenerate = []
             for split in loto_splits(names, mode):
                 if mode == "predictor":
                     model, ordering = success_predictor(features, labels, split, params)
                     X = [features[p].as_array() for p in split.test]
                     y = [labels[p] for p in split.test]
+                    classes = {labels[p] for p in split.train}
                 else:
                     model, ordering = domain_ranker(
                         samples, split, params, repeats=m["repeats"],
@@ -421,6 +437,12 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                     )
                     X = [by_key[k].features for k in split.test]
                     y = [by_key[k].label for k in split.test]
+                    classes = {by_key[k].label for k in split.train}
+                if len(classes) == 1:  # the model fitted no trees
+                    log.warning("meta %s:%s: every train label of target %s is %d; "
+                                "no trees fitted, its sources are ordered by name",
+                                mode, variant, split.target, *classes)
+                    degenerate.append(split.target)
                 per_target[split.target] = _classifier_metrics(model, np.array(X), y)
                 importance[split.target] = model.feature_importance()
                 orderings.append(ordering)
@@ -429,7 +451,8 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
             with open(ws.path(_meta_report_path(mode, variant)), "w",
                       encoding="utf-8") as f:
                 json.dump(
-                    {"per_target": per_target, "importance": importance},
+                    {"per_target": per_target, "importance": importance,
+                     "degenerate": degenerate},
                     f, indent=2, sort_keys=True,
                 )
         return build

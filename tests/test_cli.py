@@ -249,6 +249,61 @@ def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
     assert seen == [True] * 12  # msda and msdar, 6 ordered pairs each
 
 
+def readme_quick_start() -> str:
+    """The first JSON block of the README's quick start, verbatim."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("config", ["{}", readme_quick_start()], ids=["defaults", "readme"])
+def test_documented_config_runs_to_exit_0(tmp_path, caplog, config):
+    """One-class LOTO train sets fit no trees, warn, and are listed."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config)
+    ws = tmp_path / "ws"
+    assert main(["pipeline", "--workspace", str(ws), "--config", str(cfg_path)]) == 0
+    resolved = resolve_config(load_config(cfg_path))
+    for mode in resolved["meta"]["modes"]:
+        for variant in resolved["adapt"]["variants"]:
+            report = json.loads((ws / f"meta/{mode}_{variant}_report.json").read_text())
+            degenerate = report["degenerate"]
+            assert degenerate == sorted(degenerate)
+            warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+                      and f"meta {mode}:{variant}:" in r.getMessage()]
+            assert len(warned) == len(degenerate)
+            for target in degenerate:
+                assert json.loads((ws / f"meta/{mode}_{variant}_model_{target}.json")
+                                  .read_text())["trees"] == []
+    assert (ws / "report/table1_predictor.csv").exists()
+
+
+def test_embed_reads_global_table_once(tmp_path, monkeypatch):
+    """Sentence jobs share one read-only load of the global table."""
+    from domainsel.embed import EmbeddingTable
+
+    loads, writeable = [], []
+    real_load = EmbeddingTable.load.__func__
+    real_pool = EmbeddingTable.sentence_vector
+
+    def counted_load(cls, path, domain=""):
+        loads.append(Path(path).name)
+        return real_load(cls, path, domain)
+
+    def checked_pool(self, text):
+        writeable.append(self.matrix.flags.writeable)
+        return real_pool(self, text)
+
+    monkeypatch.setattr(EmbeddingTable, "load", classmethod(counted_load))
+    monkeypatch.setattr(EmbeddingTable, "sentence_vector", checked_pool)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    rc = main(["embed", "--workspace", str(tmp_path / "ws"), "--config", str(cfg_path)])
+    assert rc == 0
+    assert loads == ["global.txt"]
+    assert writeable and not any(writeable)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
     """Downstream's variant jobs share one read-only load of their inputs."""

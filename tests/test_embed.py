@@ -81,9 +81,13 @@ class TestTrainSkipgram:
 
 
 def _reference_skipgram(token_lists, dim, window, negatives, epochs, seed):
-    """Per-center training loop: negatives from rng.choice, row-wise np.add.at.
+    """Slow per-pair reference of the per-text update.
 
-    train_skipgram must reproduce its table and loss curve bit for bit.
+    Every center of a text is scored against the weights at the start of the
+    text. A center with k contexts draws `negatives` noise ids once, shares
+    them across its contexts and weights each by k. Each center takes its own
+    step of the linear schedule. Returns the table, the loss curve and
+    whether some shared negative equalled one of its center's contexts.
     """
     counts = {}
     for toks in token_lists:
@@ -91,7 +95,7 @@ def _reference_skipgram(token_lists, dim, window, negatives, epochs, seed):
             counts[t] = counts.get(t, 0) + 1
     vocab = sorted(counts)
     index = {t: i for i, t in enumerate(vocab)}
-    ids = [np.array([index[t] for t in toks], dtype=np.int64) for toks in token_lists]
+    ids = [[index[t] for t in toks] for toks in token_lists]
     noise = np.array([counts[t] for t in vocab], dtype=np.float64) ** 0.75
     noise /= noise.sum()
 
@@ -113,31 +117,34 @@ def _reference_skipgram(token_lists, dim, window, negatives, epochs, seed):
 
     total_centers = epochs * sum(len(seq) for seq in ids)
     done = 0
+    collided = False
     for _epoch in range(epochs):
         for seq in ids:
-            for i in range(len(seq)):
+            start_in, start_out = w_in.copy(), w_out.copy()
+            for i, c in enumerate(seq):
                 lr = LR_START + (LR_END - LR_START) * (done / total_centers)
                 done += 1
-                lo, hi = max(0, i - window), min(len(seq), i + window + 1)
-                ctx = np.concatenate([seq[lo:i], seq[i + 1 : hi]])
-                if len(ctx) == 0:
+                ctx = [seq[j] for j in range(max(0, i - window), min(len(seq), i + window + 1))
+                       if j != i]
+                if not ctx:
                     continue
-                c = seq[i]
-                neg = rng.choice(len(vocab), size=len(ctx) * negatives, p=noise)
-                v = w_in[c]
-                g_pos = _sigmoid(w_out[ctx] @ v) - 1.0
-                g_neg = _sigmoid(w_out[neg] @ v)
-                grad_v = g_pos @ w_out[ctx] + g_neg @ w_out[neg]
-                np.add.at(w_out, ctx, -lr * g_pos[:, None] * v)
-                np.add.at(w_out, neg, -lr * g_neg[:, None] * v)
-                w_in[c] = v - lr * grad_v
+                shared = rng.choice(len(vocab), size=negatives, p=noise)
+                collided |= bool(set(ctx) & set(shared.tolist()))
+                terms = [(o, _sigmoid(start_in[c] @ start_out[o]) - 1.0) for o in ctx]
+                terms += [(n, len(ctx) * _sigmoid(start_in[c] @ start_out[n])) for n in shared]
+                for row, g in terms:
+                    w_in[c] -= lr * g * start_out[row]
+                    w_out[row] -= lr * g * start_in[c]
         losses.append(_sgns_loss(w_in, w_out, *probe))
-    return w_in, tuple(losses)
+    return w_in, losses, collided
 
 
 class TestBlockNegativeSampling:
     NOISE = np.array([7.0, 1.0, 3.0, 3.0, 12.0, 2.0]) ** 0.75
     NOISE /= NOISE.sum()
+    # "x y z x" repeats a token; with four words, negatives hit contexts; the
+    # one-token texts have no context.
+    MIXED_TEXTS = ["x y z x", "solo", "y w w z x y", "z", "w x y z w x y z", "y"]
 
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_draws_match_rng_choice(self, seed):
@@ -159,15 +166,27 @@ class TestBlockNegativeSampling:
         np.testing.assert_array_equal(block, np.concatenate(parts))
 
     @pytest.mark.parametrize("window,negatives,epochs", [(2, 5, 2), (1, 3, 3), (5, 1, 1)])
-    def test_tables_match_per_center_sampling(self, window, negatives, epochs):
-        texts = ["x y z x", "solo", "y w w z x y", "z", "w x y z w x y z", "y"]
+    def test_tables_match_per_pair_reference(self, window, negatives, epochs):
+        texts = self.MIXED_TEXTS
         table = train_skipgram(pair_corpus(texts), dim=6, window=window,
                                negatives=negatives, epochs=epochs, seed=9)
         token_lists = [tokenize(t) for t in pair_corpus(texts).texts(None)]
-        want, want_losses = _reference_skipgram(token_lists, 6, window, negatives,
-                                                epochs, seed=9)
-        np.testing.assert_array_equal(table.matrix, want)
-        assert table.loss_curve == want_losses
+        want, want_losses, collided = _reference_skipgram(
+            token_lists, 6, window, negatives, epochs, seed=9)
+        assert collided
+        np.testing.assert_allclose(table.matrix, want, rtol=1e-12)
+        np.testing.assert_allclose(table.loss_curve, want_losses, rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_block_size_leaves_table_unchanged(self, monkeypatch, block):
+        import domainsel.embed as embed_mod
+
+        corpus = pair_corpus(self.MIXED_TEXTS * 3)  # more than one block of texts
+        want = train_skipgram(corpus, dim=6, window=2, negatives=3, epochs=2, seed=4)
+        monkeypatch.setattr(embed_mod, "TEXTS_PER_BLOCK", block)
+        got = train_skipgram(corpus, dim=6, window=2, negatives=3, epochs=2, seed=4)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.loss_curve == want.loss_curve
 
     def test_one_token_texts_train_deterministically(self):
         # Centers of 1-token texts have no context and draw no negatives.
@@ -192,6 +211,20 @@ class TestEmbeddingTableIO:
         cooccur_table.save(path)
         first = path.read_text().splitlines()[0]
         assert first == f"{len(cooccur_table.tokens)} {cooccur_table.dim}"
+
+    def test_saved_bytes_match_per_component_repr(self, tmp_path):
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(30, 7)) * 10.0 ** rng.integers(-12, 12, size=(30, 7))
+        matrix[0, :3] = [0.0, -0.0, 1e-300]
+        table = EmbeddingTable(dim=7, domain="r", tokens=tuple(f"w{i}" for i in range(30)),
+                               matrix=matrix)
+        path = tmp_path / "vec.txt"
+        table.save(path)
+        want = "30 7\n" + "".join(
+            tok + " " + " ".join(repr(float(x)) for x in row) + "\n"
+            for tok, row in zip(table.tokens, table.matrix)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_bad_component_count(self, tmp_path):
         path = tmp_path / "vec.txt"

@@ -215,12 +215,16 @@ class TestSuccessPredictor:
         assert imp["f1"] > 0.9  # only informative feature in this world
         assert abs(sum(imp.values()) - 1.0) < 1e-9
 
-    def test_single_class_training_labels_error(self):
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_training_labels_fall_back_to_name_order(self, label):
         features, labels, _ = monotone_world(DOMAINS, seed=2)
-        labels = {k: 1 for k in labels}
+        labels = {k: label for k in labels}
         split = loto_splits(DOMAINS, "predictor")[0]
-        with pytest.raises(ValidationError, match="both classes"):
-            success_predictor(features, labels, split, FAST)
+        model, ordering = success_predictor(features, labels, split, FAST)
+        assert model.trees == []
+        assert ordering.ranked_sources == tuple(d for d in DOMAINS if d != split.target)
+        assert set(ordering.scores) == {0.5}
+        assert set(model.feature_importance().values()) == {0.0}
 
     def test_missing_label_rejected(self):
         features, labels, _ = monotone_world(DOMAINS, seed=3)
@@ -347,6 +351,18 @@ class TestDomainRanker:
             tuple(item for item, _ in ranked),
             tuple(pos for _, pos in ranked),
         )
+
+    def test_tied_preferences_fall_back_to_name_order(self):
+        # Every source equally good: each preference label is 1, one class.
+        features, f1_means, _ = source_quality_world(DOMAINS, seed=6)
+        f1_means = {k: 0.5 for k in f1_means}
+        samples = build_ranker_samples(features, f1_means)
+        split = loto_splits(DOMAINS, "ranker")[1]
+        model, ordering = domain_ranker(samples, split, FAST, repeats=5, seed=2)
+        assert model.trees == []
+        others = tuple(d for d in DOMAINS if d != split.target)
+        assert ordering.ranked_sources == others
+        assert ordering.scores == tuple(float(i) for i in range(len(others)))
 
     def test_missing_sample_rejected(self):
         features, f1_means, _ = source_quality_world(DOMAINS, seed=6)
