@@ -6,7 +6,7 @@ that over every ordered pair (and every domain with itself) under a few
 seeds yields the F1 matrix. Normalizing each transfer score by the
 in-domain score of its target gives the success labels the meta models
 learn from: a pair succeeds when F1_ST / F1_TT exceeds the threshold
-strictly.
+strictly, or, into a target whose in-domain F1 is zero, when F1_ST > 0.
 """
 from __future__ import annotations
 
@@ -230,21 +230,21 @@ def cross_domain_matrix(
     ``pair_data(S, T)`` must return (X_train, y_train, X_val, y_val,
     X_test, y_test): source-split training and validation representations
     and target test representations, already encoded for this variant
-    (identity for the in-domain diagonal).
+    (identity for the in-domain diagonal). It is called once per ordered
+    pair, and every seed trains on that one result.
     """
     domains = tuple(domains)
     seeds = tuple(seeds)
     d = len(domains)
-    per_seed = {}
-    for seed in seeds:
-        m = np.zeros((d, d))
-        for i, source in enumerate(domains):
-            for j, target in enumerate(domains):
-                X_tr, y_tr, X_va, y_va, X_te, y_te = pair_data(source, target)
+    per_seed = {seed: np.zeros((d, d)) for seed in seeds}
+    for i, source in enumerate(domains):
+        for j, target in enumerate(domains):
+            X_tr, y_tr, X_va, y_va, X_te, y_te = pair_data(source, target)
+            y_te = np.asarray(y_te, dtype=np.int64)
+            for seed in seeds:
                 clf = train_pair_classifier(X_tr, y_tr, X_va, y_va, seed=seed, **train_kwargs)
-                m[i, j] = f1_score(clf.predict(X_te), np.asarray(y_te, dtype=np.int64))
-        per_seed[seed] = m
-        log.debug("f1 matrix variant=%s seed=%d done", variant, seed)
+                per_seed[seed][i, j] = f1_score(clf.predict(X_te), y_te)
+        log.debug("f1 matrix variant=%s source=%s done", variant, source)
     mean = np.mean([per_seed[s] for s in sorted(per_seed)], axis=0)
     return F1Matrix(domains=domains, per_seed=per_seed, mean=mean, variant=variant)
 
@@ -254,18 +254,21 @@ def success_labels(matrix: F1Matrix, threshold: float = DEFAULT_SUCCESS_THRESHOL
 
     Returns (normalized, success): both keyed by ordered (source, target),
     normalized(S,T) = mean F1_ST / mean F1_TT, success iff ratio > threshold.
+    A target with zero in-domain F1 has no ratio (it reads inf, or nan for
+    F1_ST = 0); a transfer into it succeeds iff F1_ST > 0, that is, iff
+    F1_ST > threshold * F1_TT.
     """
     domains = matrix.domains
-    for j, t in enumerate(domains):
-        if matrix.mean[j, j] == 0.0:
-            raise ValidationError(f"in-domain F1 for '{t}' is zero; cannot normalize")
+    in_domain = np.diag(matrix.mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = matrix.mean / in_domain
+        passed = np.where(in_domain > 0, ratios > threshold, matrix.mean > 0)
     normalized = {}
     success = {}
     for i, s in enumerate(domains):
         for j, t in enumerate(domains):
-            ratio = float(matrix.mean[i, j] / matrix.mean[j, j])
-            normalized[(s, t)] = ratio
-            success[(s, t)] = ratio > threshold
+            normalized[(s, t)] = float(ratios[i, j])
+            success[(s, t)] = bool(passed[i, j])
     return normalized, success
 
 

@@ -1,26 +1,31 @@
 """Meta-models that pick source domains for a target domain.
 
-Two learners over pairwise corpus features: a success predictor (binary
-classifier on single source-target feature rows, sources ordered by
-predicted probability) and a domain ranker (pairwise preference classifier
-whose comparisons are aggregated into an ordering by repeated randomized
-quicksort). Evaluation uses leave-one-target-out splits.
+Two learners over pairwise corpus features, both evaluated with
+leave-one-target-out (LOTO) splits and fed by one row path: `loto_rows` maps
+every LOTO row key to its feature row and 0/1 label, straight from the
+feature matrix, a variant's F1 matrix and the success threshold.
+
+- Success predictor: rows are ordered (source, target) pairs, labelled by
+  `success_labels`; sources are ordered by predicted success probability.
+- Domain ranker: rows are (s1, s2, target) triples with s1 < s2, s1's ten
+  features before s2's, labelled 1 when s1's mean F1 on the target is at
+  least s2's; the pairwise preferences are aggregated into an ordering by
+  repeated randomized quicksort.
+
+Both fit on a split's train rows and score its held-out rows in one call;
+they differ only in how those probabilities become an Ordering.
 """
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .downstream import F1Matrix, f1_score, success_labels
 from .errors import ValidationError
 from .gbdt import GBDTModel, GBDTParams, gbdt_train_cv
-from .simfeat import FEATURE_NAMES, FeatureVector
-
-log = logging.getLogger(__name__)
-
-MULTISORT_REPEATS = 11
+from .simfeat import FEATURE_NAMES
 
 RANKER_FEATURE_NAMES = tuple(f"s1_{n}" for n in FEATURE_NAMES) + tuple(
     f"s2_{n}" for n in FEATURE_NAMES
@@ -34,32 +39,6 @@ class LotoSplit:
     target: str
     train: tuple
     test: tuple
-
-
-@dataclass(frozen=True)
-class RankerSample:
-    """Preference row for an unordered source pair against one target.
-
-    `pair` is lexicographically ordered and `features` stacks the first
-    source's ten features before the second's. label is 1 when the first
-    source does at least as well on the target as the second.
-    """
-
-    target: str
-    pair: tuple
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        s1, s2 = self.pair
-        if not s1 < s2:
-            raise ValidationError(f"pair must be lexicographically ordered, got {self.pair}")
-        if self.target in self.pair:
-            raise ValidationError("target cannot appear in its own source pair")
-        if self.label not in (0, 1):
-            raise ValidationError(f"label must be 0 or 1, got {self.label}")
-        if self.features.shape != (20,):
-            raise ValidationError(f"expected 20 features, got shape {self.features.shape}")
 
 
 @dataclass(frozen=True)
@@ -114,97 +93,85 @@ def loto_splits(domains, mode: str = "predictor") -> list[LotoSplit]:
     return splits
 
 
-def build_ranker_samples(features, f1_means) -> tuple:
-    """Turn pairwise features and cross-domain F1 means into preference rows.
+def loto_rows(domains, mode: str, features, matrix: F1Matrix, threshold: float) -> dict:
+    """Every LOTO row of `mode` over `domains`: key -> (feature row, 0/1 label).
 
-    features maps ordered (source, target) pairs to FeatureVector; f1_means
-    maps the same keys to the mean F1 a source-trained classifier reached
-    on the target.
+    features maps ordered (source, target) pairs to FeatureVector; `threshold`
+    feeds the predictor's `success_labels` and is unused by the ranker. A
+    pair missing from features or from the matrix raises ValidationError.
     """
-    targets = sorted({t for _, t in features})
-    samples = []
-    for target in targets:
-        sources = sorted({s for s, t in features if t == target})
-        for i in range(len(sources)):
-            for j in range(i + 1, len(sources)):
-                s1, s2 = sources[i], sources[j]
-                for key in ((s1, target), (s2, target)):
-                    if key not in f1_means:
-                        raise ValidationError(f"missing F1 for pair {key}")
-                row = np.concatenate(
-                    [features[(s1, target)].as_array(), features[(s2, target)].as_array()]
-                )
-                label = 1 if f1_means[(s1, target)] >= f1_means[(s2, target)] else 0
-                samples.append(RankerSample(target, (s1, s2), row, label))
-    return tuple(samples)
+    f1 = {(s, t): float(value) for s, row in zip(matrix.domains, matrix.mean)
+          for t, value in zip(matrix.domains, row)}
+    success = success_labels(matrix, threshold)[1] if mode == "predictor" else None
+
+    def need(mapping, pair, what):
+        if pair not in mapping:
+            raise ValidationError(f"{what} missing for pair {pair}")
+        return mapping[pair]
+
+    rows = {}
+    for split in loto_splits(domains, mode):
+        for key in split.test:
+            *sources, target = key
+            pairs = [(s, target) for s in sources]
+            x = np.concatenate([need(features, p, "features").as_array() for p in pairs])
+            scores = [need(f1, p, "F1") for p in pairs]
+            label = success[pairs[0]] if success is not None else scores[0] >= scores[1]
+            rows[key] = (x, int(label))
+    return rows
 
 
-def _require(mapping, key, what):
-    if key not in mapping:
-        raise ValidationError(f"{what} missing for pair {key}")
-    return mapping[key]
+def _fit_and_score(rows, split: LotoSplit, params: GBDTParams, feature_names):
+    """Fit on the split's train rows, then score its test rows in one call.
 
-
-def _fit(X, y, params: GBDTParams, feature_names) -> GBDTModel:
-    """gbdt_train_cv, or, when the train labels hold one class, a model with
-    no trees: every row then scores 0.5 and orderings fall back to name
-    order."""
+    When the train labels hold one class the model has no trees: every row
+    then scores 0.5 and orderings fall back to name order. Returns the model,
+    the test rows' probabilities in split.test order and their f1/accuracy.
+    """
+    X = np.array([rows[key][0] for key in split.train])
+    y = np.array([float(rows[key][1]) for key in split.train])
     if len(np.unique(y)) == 1:
-        return GBDTModel([], params.learning_rate, X.shape[1], feature_names)
-    return gbdt_train_cv(X, y, params, feature_names=feature_names)
+        model = GBDTModel([], params.learning_rate, X.shape[1], feature_names)
+    else:
+        model = gbdt_train_cv(X, y, params, feature_names=feature_names)
+    probs = model.predict_proba(np.array([rows[key][0] for key in split.test]))
+    predicted = (probs >= 0.5).astype(np.int64)
+    truth = np.array([rows[key][1] for key in split.test], dtype=np.int64)
+    metrics = {"f1": f1_score(predicted, truth),
+               "accuracy": float(np.mean(predicted == truth))}
+    return model, probs, metrics
 
 
-def success_predictor(features, labels, split: LotoSplit,
-                      params: GBDTParams = GBDTParams()):
+def success_predictor(rows, split: LotoSplit, params: GBDTParams):
     """Train on the split's train pairs, order the held-out target's sources.
 
-    features maps ordered (source, target) pairs to FeatureVector, labels
-    maps them to the 0/1 success outcome. Returns the fitted model and the
-    Ordering for split.target (probability descending, name-lexicographic
-    on ties).
+    rows come from `loto_rows(..., "predictor", ...)`. Returns the fitted
+    model, the Ordering for split.target (probability descending,
+    name-lexicographic on ties) and the held-out f1/accuracy.
     """
-    X = np.array(
-        [_require(features, pair, "features").as_array() for pair in split.train]
-    )
-    y = np.array([float(_require(labels, pair, "label")) for pair in split.train])
-    model = _fit(X, y, params, FEATURE_NAMES)
-
-    candidates = sorted(source for source, _ in split.test)
-    rows = np.array(
-        [_require(features, (s, split.target), "features").as_array() for s in candidates]
-    )
-    probs = model.predict_proba(rows)
+    model, probs, metrics = _fit_and_score(rows, split, params, FEATURE_NAMES)
+    candidates = [source for source, _ in split.test]
     order = sorted(range(len(candidates)), key=lambda i: (-probs[i], candidates[i]))
     ordering = Ordering(
         split.target,
         tuple(candidates[i] for i in order),
         tuple(float(probs[i]) for i in order),
     )
-    return model, ordering
+    return model, ordering, metrics
 
 
-def domain_ranker(samples, split: LotoSplit, params: GBDTParams = GBDTParams(),
-                  repeats: int = MULTISORT_REPEATS, seed: int = 0):
+def domain_ranker(rows, split: LotoSplit, params: GBDTParams, repeats: int, seed: int):
     """Train the pairwise preference model, aggregate it into an ordering.
 
-    samples are RankerSamples covering every (s1, s2, target) row of the
-    split. The comparator asks the model which member of the canonical
-    pair is preferred; multi_sort smooths its intransitivities. Returned
-    scores are mean positions across sort repeats (lower is better).
+    rows come from `loto_rows(..., "ranker", ...)`. The comparator asks the
+    model which member of the canonical pair is preferred; multi_sort
+    smooths its intransitivities. Returned scores are mean positions across
+    sort repeats (lower is better); also returns the model and the held-out
+    f1/accuracy.
     """
-    by_key = {(s.pair[0], s.pair[1], s.target): s for s in samples}
-    train = [_require(by_key, key, "ranker sample") for key in split.train]
-    test = {
-        key[:2]: _require(by_key, key, "ranker sample") for key in split.test
-    }
-    X = np.array([s.features for s in train])
-    y = np.array([float(s.label) for s in train])
-    model = _fit(X, y, params, RANKER_FEATURE_NAMES)
-
-    # Score every held-out pair once; the comparator only looks them up.
-    pairs = list(test)
-    probs = model.predict_proba(np.array([test[pair].features for pair in pairs]))
-    prob_of = dict(zip(pairs, probs.tolist()))
+    model, probs, metrics = _fit_and_score(rows, split, params, RANKER_FEATURE_NAMES)
+    # The comparator only looks up the held-out pairs' scores.
+    prob_of = {key[:2]: p for key, p in zip(split.test, probs.tolist())}
 
     def prefers(a: str, b: str) -> bool:
         s1, s2 = (a, b) if a < b else (b, a)
@@ -218,7 +185,7 @@ def domain_ranker(samples, split: LotoSplit, params: GBDTParams = GBDTParams(),
         tuple(item for item, _ in ranked),
         tuple(pos for _, pos in ranked),
     )
-    return model, ordering
+    return model, ordering, metrics
 
 
 def _noisy_quicksort(items: list, less) -> list:
@@ -233,7 +200,7 @@ def _noisy_quicksort(items: list, less) -> list:
     return _noisy_quicksort(left, less) + [pivot] + _noisy_quicksort(right, less)
 
 
-def multi_sort(items, noisy_less, repeats: int = MULTISORT_REPEATS, seed: int = 0) -> list:
+def multi_sort(items, noisy_less, repeats: int, seed: int = 0) -> list:
     """Aggregate repeated randomized quicksorts of a noisy comparator.
 
     Each repeat quicksorts an independently shuffled copy; items are then

@@ -26,7 +26,6 @@ from .config import STAGES, config_hash
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
     cross_domain_matrix,
-    f1_score,
     load_f1_matrix,
     pair_input,
     save_f1_matrix,
@@ -34,11 +33,11 @@ from .downstream import (
 )
 from .embed import EmbeddingTable, train_skipgram
 from .errors import ValidationError
-from .gbdt import GBDTModel, GBDTParams
+from .gbdt import GBDTParams
 from .meta import (
-    build_ranker_samples,
     domain_ranker,
     load_orderings,
+    loto_rows,
     loto_splits,
     save_orderings,
     success_predictor,
@@ -337,22 +336,18 @@ def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     def make(variant):
         def build():
             data = load_inputs()
-            cache = {}
 
             def pair_data(s, t):
-                if (s, t) not in cache:
-                    if variant == "none" or s == t:
-                        enc = lambda m: m
-                    else:
-                        model = AdaptModel.load(ws.path(_adapt_path(variant, s, t)))
-                        enc = lambda m: encode(model, m.T).T
-                    def rows(domain, split):
-                        a, b, y = data[(domain, split)]
-                        return pair_input(enc(a), enc(b)), y
-                    cache[(s, t)] = (
-                        *rows(s, "train"), *rows(s, "val"), *rows(t, "test")
-                    )
-                return cache[(s, t)]
+                if variant == "none" or s == t:
+                    enc = lambda m: m
+                else:
+                    model = AdaptModel.load(ws.path(_adapt_path(variant, s, t)))
+                    enc = lambda m: encode(model, m.T).T
+
+                def rows(domain, split):
+                    a, b, y = data[(domain, split)]
+                    return pair_input(enc(a), enc(b)), y
+                return (*rows(s, "train"), *rows(s, "val"), *rows(t, "test"))
 
             matrix = cross_domain_matrix(
                 names, pair_data, variant, d["seeds"],
@@ -384,15 +379,6 @@ def _meta_model_path(mode: str, variant: str, target: str) -> str:
     return f"meta/{mode}_{variant}_model_{target}.json"
 
 
-def _classifier_metrics(model: GBDTModel, X: np.ndarray, y: np.ndarray) -> dict:
-    predictions = model.predict(X)
-    y = np.asarray(y, dtype=np.int64)
-    return {
-        "f1": f1_score(predictions, y),
-        "accuracy": float(np.mean(predictions == y)),
-    }
-
-
 def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                only_variant: str | None = None) -> list:
     m = cfg["meta"]
@@ -410,40 +396,25 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
                 learning_rate=m["learning_rate"],
                 seed=child_seed(m["seed"], mode, variant),
             )
-            if mode == "predictor":
-                success = success_labels(matrix, threshold)[1]
-                labels = {k: int(v) for k, v in success.items() if k[0] != k[1]}
-            else:
-                f1_means = {
-                    (s, t): matrix.entry(s, t)
-                    for s in names for t in names if s != t
-                }
-                samples = build_ranker_samples(features, f1_means)
-                by_key = {(x.pair[0], x.pair[1], x.target): x for x in samples}
+            rows = loto_rows(names, mode, features, matrix, threshold)
             orderings = []
             per_target = {}
             importance = {}
             degenerate = []
             for split in loto_splits(names, mode):
                 if mode == "predictor":
-                    model, ordering = success_predictor(features, labels, split, params)
-                    X = [features[p].as_array() for p in split.test]
-                    y = [labels[p] for p in split.test]
-                    classes = {labels[p] for p in split.train}
+                    model, ordering, metrics = success_predictor(rows, split, params)
                 else:
-                    model, ordering = domain_ranker(
-                        samples, split, params, repeats=m["repeats"],
-                        seed=child_seed(m["seed"], mode, variant, split.target),
+                    model, ordering, metrics = domain_ranker(
+                        rows, split, params, m["repeats"],
+                        child_seed(m["seed"], mode, variant, split.target),
                     )
-                    X = [by_key[k].features for k in split.test]
-                    y = [by_key[k].label for k in split.test]
-                    classes = {by_key[k].label for k in split.train}
-                if len(classes) == 1:  # the model fitted no trees
+                if not model.trees:  # every train label is one class
                     log.warning("meta %s:%s: every train label of target %s is %d; "
                                 "no trees fitted, its sources are ordered by name",
-                                mode, variant, split.target, *classes)
+                                mode, variant, split.target, rows[split.train[0]][1])
                     degenerate.append(split.target)
-                per_target[split.target] = _classifier_metrics(model, np.array(X), y)
+                per_target[split.target] = metrics
                 importance[split.target] = model.feature_importance()
                 orderings.append(ordering)
                 model.save(ws.path(_meta_model_path(mode, variant, split.target)))

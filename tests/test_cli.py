@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import domainsel
 from domainsel.cli import main
 from domainsel.config import load_config, resolve_config, validate_config
+from domainsel.downstream import load_f1_matrix, success_labels
 from domainsel.pipeline import run_pipeline
 from domainsel.synth import SyntheticSpec, synth_domain
 from domainsel.workspace import Workspace
@@ -276,6 +278,56 @@ def test_documented_config_runs_to_exit_0(tmp_path, caplog, config):
                 assert json.loads((ws / f"meta/{mode}_{variant}_model_{target}.json")
                                   .read_text())["trees"] == []
     assert (ws / "report/table1_predictor.csv").exists()
+
+
+ZERO_F1_CONFIG = {
+    "seed": 1,
+    "data": {"synth": {"domains": 6, "topics": 4, "words_per_topic": 20,
+                       "examples_per_domain": 24, "tokens_per_text": 6}},
+    "embed": {"dim": 6, "epochs": 1},
+    "downstream": {"seeds": [0], "max_epochs": 3, "hidden": [8, 4]},
+    "meta": {"trees": 5},
+}
+
+
+def test_zero_in_domain_f1_runs_to_exit_0(tmp_path):
+    """A target with zero in-domain F1 takes F1_ST > 0 as success."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(ZERO_F1_CONFIG))
+    ws = tmp_path / "ws"
+    assert main(["pipeline", "--workspace", str(ws), "--config", str(cfg_path)]) == 0
+    matrix = load_f1_matrix(ws / "downstream", "none")
+    zero = [t for j, t in enumerate(matrix.domains) if matrix.mean[j, j] == 0.0]
+    assert zero
+    success = success_labels(matrix)[1]
+    for t in zero:
+        for s in matrix.domains:
+            assert success[(s, t)] == (matrix.entry(s, t) > 0)
+
+
+def traced_layer_names(source: str) -> set:
+    """Span names that perfbench/traced.py's install() records."""
+    pattern = r'tracer\.(?:wrap\([\w.]+,\s*"\w+",\s*|call\(|record\(\w+,\s*)"([\w.]+)"'
+    return set(re.findall(pattern, source))
+
+
+def test_traced_benchmark_hooks_are_all_called(tmp_path):
+    """Every name the traced benchmark wraps still exists and is still called."""
+    root = Path(__file__).resolve().parents[1]
+    traced = root / "perfbench" / "traced.py"
+    expected = traced_layer_names(traced.read_text(encoding="utf-8"))
+    assert {"meta.success_predictor", "meta.domain_ranker", "meta.multi_sort",
+            "gbdt.predict_proba", "workspace.run_stage", "workspace.job"} <= expected
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(traced), str(out), "meta", "--workspace", str(tmp_path / "ws"),
+         "--config", str(cfg_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    layers = json.loads(out.read_text(encoding="utf-8"))["layers"]
+    assert {name for name in expected if layers.get(name, {}).get("calls", 0) < 1} == set()
 
 
 def test_embed_reads_global_table_once(tmp_path, monkeypatch):

@@ -160,6 +160,18 @@ class TestCrossDomainMatrix:
         assert np.all(m.mean >= 0) and np.all(m.mean <= 1)
         assert m.mean[0, 0] > 0 and m.mean[1, 1] > 0
 
+    def test_pair_data_called_once_per_ordered_pair(self):
+        calls = []
+
+        def pair_data(s, t):
+            calls.append((s, t))
+            X, y = separable_set(20, seed=len(calls))
+            return X, y, X, y, X, y
+
+        cross_domain_matrix(("A", "B", "C"), pair_data, "DT", (0, 1, 2), hidden=(4, 4),
+                            max_epochs=1)
+        assert sorted(calls) == [(s, t) for s in "ABC" for t in "ABC"]
+
     def test_entry_accessor(self):
         m = toy_matrix()
         assert m.entry("A", "B") == float(m.mean[0, 1])
@@ -209,10 +221,17 @@ class TestSuccessLabels:
         _, none_success = success_labels(m, threshold=1.0)
         assert not any(none_success[(s, t)] for s, t in none_success if s != t)
 
-    def test_zero_diagonal_rejected(self):
-        m = self.matrix_from_mean([[1.0, 0.2], [0.3, 0.0]])
-        with pytest.raises(ValidationError, match="in-domain"):
-            success_labels(m)
+    @pytest.mark.parametrize("threshold", [0.0, 0.8, 1.0])
+    def test_zero_diagonal_succeeds_iff_transfer_scores(self, threshold):
+        # Into a target with zero in-domain F1, success means F1_ST > 0.
+        m = self.matrix_from_mean([[1.0, 0.2, 0.0], [0.3, 0.0, 0.0], [0.9, 0.0, 0.5]],
+                                  domains=("A", "B", "C"))
+        normalized, success = success_labels(m, threshold=threshold)
+        assert success[("A", "B")] is True and normalized[("A", "B")] == np.inf
+        assert success[("C", "B")] is False and success[("B", "B")] is False
+        assert np.isnan(normalized[("B", "B")])
+        assert normalized[("B", "A")] == 0.3 and success[("B", "A")] is (0.3 > threshold)
+        assert success[("A", "C")] is False and success[("C", "A")] is (0.9 > threshold)
 
 
 class TestF1MatrixIO:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from domainsel.downstream import F1Matrix, f1_score, success_labels
 from domainsel.errors import ValidationError
 from domainsel.gbdt import GBDTModel, GBDTParams
 from domainsel.meta import (
     LotoSplit,
     Ordering,
-    RankerSample,
     _noisy_quicksort,
-    build_ranker_samples,
     domain_ranker,
     load_orderings,
+    loto_rows,
     loto_splits,
     multi_sort,
     save_orderings,
@@ -23,10 +23,21 @@ def make_features(f1):
     return FeatureVector(f1, 0.5, 50, 50, 8.0, 8.0, 0.1, 0.2, 20.0, 0.3)
 
 
+def f1_matrix(domains, f1, diagonal=1.0):
+    """F1Matrix holding f1[(s, t)] off the diagonal."""
+    domains = tuple(sorted(domains))
+    m = np.array([[diagonal if s == t else f1[(s, t)] for t in domains] for s in domains])
+    return F1Matrix(domains=domains, per_seed={0: m}, mean=m, variant="none")
+
+
 def monotone_world(domains, seed):
-    """Pairwise affinities drive both f1 and the success label."""
+    """Pairwise affinities drive both f1 and the success label.
+
+    Returns predictor rows and the affinities; with an in-domain F1 of 1 and
+    threshold 0.5, a pair succeeds iff its affinity exceeds 0.5.
+    """
     rng = np.random.default_rng(seed)
-    features, labels, affinity = {}, {}, {}
+    features, affinity = {}, {}
     for t in domains:
         for s in domains:
             if s == t:
@@ -34,8 +45,8 @@ def monotone_world(domains, seed):
             a = float(rng.uniform(0.05, 0.95))
             affinity[(s, t)] = a
             features[(s, t)] = make_features(a)
-            labels[(s, t)] = int(a > 0.5)
-    return features, labels, affinity
+    rows = loto_rows(domains, "predictor", features, f1_matrix(domains, affinity), 0.5)
+    return rows, affinity
 
 
 class TestLotoSplits:
@@ -126,59 +137,88 @@ class TestMultiSort:
         assert ranked == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
 
     def test_position_ties_break_lexicographically(self):
-        # comparator that never prefers anything: every run keeps the
-        # shuffled order, so mean positions are close; force an exact tie
-        # with repeats=2 and a comparator keyed to an external flag
-        calls = {"n": 0}
-
-        def alternating(a, b):
-            calls["n"] += 1
-            return False
-
-        ranked = multi_sort(["b", "a"], alternating, repeats=2, seed=1)
-        if ranked[0][1] == ranked[1][1]:
-            assert [it for it, _ in ranked] == ["a", "b"]
+        # A comparator that never prefers anything keeps each shuffled order;
+        # at seed 2 the two shuffles differ, so both items average 0.5.
+        ranked = multi_sort(["b", "a"], lambda a, b: False, repeats=2, seed=2)
+        assert ranked == [("a", 0.5), ("b", 0.5)]
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
-            multi_sort(["a", "a"], lambda x, y: x < y)
+            multi_sort(["a", "a"], lambda x, y: x < y, repeats=3)
 
     def test_zero_repeats_rejected(self):
         with pytest.raises(ValidationError):
             multi_sort(["a", "b"], lambda x, y: x < y, repeats=0)
 
 
+def pair_world(domains, seed):
+    """Distinct features and F1 means for every ordered pair of domains."""
+    rng = np.random.default_rng(seed)
+    pairs = [(s, t) for s in domains for t in domains if s != t]
+    features = {p: make_features(float(rng.uniform(0.05, 0.95))) for p in pairs}
+    f1 = {p: float(rng.uniform(0.05, 0.95)) for p in pairs}
+    return features, f1
+
+
 class TestRankerSamples:
     def test_canonical_pair_and_label(self):
-        features = {
-            ("s1", "t"): make_features(0.9),
-            ("s2", "t"): make_features(0.2),
-            ("s3", "t"): make_features(0.5),
-        }
-        f1_means = {("s1", "t"): 0.8, ("s2", "t"): 0.3, ("s3", "t"): 0.3}
-        samples = build_ranker_samples(features, f1_means)
-        by_pair = {s.pair: s for s in samples}
-        assert set(by_pair) == {("s1", "s2"), ("s1", "s3"), ("s2", "s3")}
-        assert by_pair[("s1", "s2")].label == 1
-        assert by_pair[("s2", "s3")].label == 1  # ties count as "first wins"
-        row = by_pair[("s1", "s3")].features
-        assert row[0] == 0.9 and row[10] == 0.5
+        domains = ["s1", "s2", "s3", "t"]
+        features, f1 = pair_world(domains, seed=0)
+        features.update({("s1", "t"): make_features(0.9), ("s3", "t"): make_features(0.5)})
+        f1.update({("s1", "t"): 0.2, ("s2", "t"): 0.3, ("s3", "t"): 0.3})
+        rows = loto_rows(domains, "ranker", features, f1_matrix(domains, f1), 0.8)
+        assert set(rows) == {k for split in loto_splits(domains, "ranker") for k in split.test}
+        assert all(s1 < s2 and t not in (s1, s2) for s1, s2, t in rows)
+        assert rows[("s1", "s2", "t")][1] == 0
+        assert rows[("s2", "s3", "t")][1] == 1  # ties count as "first wins"
+        x, _ = rows[("s1", "s3", "t")]
+        assert x.shape == (20,) and x[0] == 0.9 and x[10] == 0.5
+        np.testing.assert_array_equal(
+            x, np.concatenate([features[("s1", "t")].as_array(),
+                               features[("s3", "t")].as_array()]))
 
     def test_missing_f1_rejected(self):
-        features = {("s1", "t"): make_features(0.9), ("s2", "t"): make_features(0.2)}
-        with pytest.raises(ValidationError, match="missing F1"):
-            build_ranker_samples(features, {("s1", "t"): 0.8})
+        domains = ["s1", "s2", "s3", "t"]
+        features, f1 = pair_world(domains, seed=1)
+        matrix = f1_matrix(["s1", "s2", "t"], f1)
+        with pytest.raises(ValidationError, match=r"F1 missing for pair \('s3', 's1'\)"):
+            loto_rows(domains, "ranker", features, matrix, 0.8)
 
-    def test_sample_validation(self):
-        row = np.zeros(20)
-        with pytest.raises(ValidationError):
-            RankerSample("t", ("b", "a"), row, 1)
-        with pytest.raises(ValidationError):
-            RankerSample("a", ("a", "b"), row, 1)
-        with pytest.raises(ValidationError):
-            RankerSample("t", ("a", "b"), row, 2)
-        with pytest.raises(ValidationError):
-            RankerSample("t", ("a", "b"), np.zeros(10), 1)
+
+class TestLotoRows:
+    def test_predictor_rows_and_labels(self):
+        features, f1 = pair_world(DOMAINS, seed=2)
+        matrix = f1_matrix(DOMAINS, f1, diagonal=0.7)
+        rows = loto_rows(DOMAINS, "predictor", features, matrix, 0.8)
+        success = success_labels(matrix, 0.8)[1]
+        assert set(rows) == set(features)
+        assert {rows[k][1] for k in rows} == {0, 1}
+        for key, (x, label) in rows.items():
+            assert label == int(success[key])
+            np.testing.assert_array_equal(x, features[key].as_array())
+
+    def test_missing_feature_row_rejected(self):
+        features, f1 = pair_world(DOMAINS, seed=3)
+        del features[("music", "dvd")]
+        with pytest.raises(ValidationError,
+                           match=r"features missing for pair \('music', 'dvd'\)"):
+            loto_rows(DOMAINS, "predictor", features, f1_matrix(DOMAINS, f1), 0.8)
+
+    @pytest.mark.parametrize("mode", ["predictor", "ranker"])
+    def test_metrics_score_the_held_out_rows(self, mode):
+        features, f1 = pair_world(DOMAINS, seed=4)
+        rows = loto_rows(DOMAINS, mode, features, f1_matrix(DOMAINS, f1, 0.7), 0.8)
+        split = loto_splits(DOMAINS, mode)[3]
+        if mode == "predictor":
+            model, _, metrics = success_predictor(rows, split, FAST)
+        else:
+            model, _, metrics = domain_ranker(rows, split, FAST, repeats=3, seed=0)
+        assert model.trees
+        X = np.array([rows[k][0] for k in split.test])
+        y = np.array([rows[k][1] for k in split.test])
+        predicted = model.predict(X)
+        assert metrics == {"f1": f1_score(predicted, y),
+                           "accuracy": float(np.mean(predicted == y))}
 
 
 class TestOrderingType:
@@ -197,9 +237,9 @@ FAST = GBDTParams(trees=20, depth=2, seed=0)
 
 class TestSuccessPredictor:
     def test_ordering_is_permutation_of_candidates(self):
-        features, labels, _ = monotone_world(DOMAINS, seed=0)
+        rows, _ = monotone_world(DOMAINS, seed=0)
         split = loto_splits(DOMAINS, "predictor")[0]
-        model, ordering = success_predictor(features, labels, split, FAST)
+        model, ordering, _ = success_predictor(rows, split, FAST)
         assert ordering.target == split.target
         assert sorted(ordering.ranked_sources) == sorted(
             d for d in DOMAINS if d != split.target
@@ -207,9 +247,9 @@ class TestSuccessPredictor:
         assert all(b <= a for a, b in zip(ordering.scores, ordering.scores[1:]))
 
     def test_importances_named_by_feature(self):
-        features, labels, _ = monotone_world(DOMAINS, seed=1)
+        rows, _ = monotone_world(DOMAINS, seed=1)
         split = loto_splits(DOMAINS, "predictor")[0]
-        model, _ = success_predictor(features, labels, split, FAST)
+        model, _, _ = success_predictor(rows, split, FAST)
         imp = model.feature_importance()
         assert set(imp) == {f"f{i}" for i in range(1, 11)}
         assert imp["f1"] > 0.9  # only informative feature in this world
@@ -217,31 +257,45 @@ class TestSuccessPredictor:
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_single_class_training_labels_fall_back_to_name_order(self, label):
-        features, labels, _ = monotone_world(DOMAINS, seed=2)
-        labels = {k: label for k in labels}
+        rows, _ = monotone_world(DOMAINS, seed=2)
+        rows = {k: (x, label) for k, (x, _) in rows.items()}
         split = loto_splits(DOMAINS, "predictor")[0]
-        model, ordering = success_predictor(features, labels, split, FAST)
+        model, ordering, _ = success_predictor(rows, split, FAST)
         assert model.trees == []
         assert ordering.ranked_sources == tuple(d for d in DOMAINS if d != split.target)
         assert set(ordering.scores) == {0.5}
         assert set(model.feature_importance().values()) == {0.0}
 
     def test_missing_label_rejected(self):
-        features, labels, _ = monotone_world(DOMAINS, seed=3)
-        split = loto_splits(DOMAINS, "predictor")[0]
-        del labels[split.train[0]]
-        with pytest.raises(ValidationError, match="label missing"):
-            success_predictor(features, labels, split, FAST)
+        # A domain absent from the F1 matrix leaves its pairs without a label.
+        features, f1 = pair_world(DOMAINS, seed=3)
+        matrix = f1_matrix([d for d in DOMAINS if d != "toys"], f1)
+        with pytest.raises(ValidationError, match=r"F1 missing for pair \('toys', 'books'\)"):
+            loto_rows(DOMAINS, "predictor", features, matrix, 0.8)
+
+    def test_one_scoring_call(self, monkeypatch):
+        rows, _ = monotone_world(DOMAINS, seed=4)
+        split = loto_splits(DOMAINS, "predictor")[2]
+        calls = []
+        predict_proba = GBDTModel.predict_proba
+
+        def counting(model, X):
+            calls.append(len(X))
+            return predict_proba(model, X)
+
+        monkeypatch.setattr(GBDTModel, "predict_proba", counting)
+        success_predictor(rows, split, FAST)
+        assert calls == [len(split.test)]
 
     def test_beats_random_ordering_on_monotone_worlds(self):
         predictor_hits = 0
         random_hits = 0
         trials = 0
         for seed in range(20):
-            features, labels, affinity = monotone_world(DOMAINS, seed=100 + seed)
+            rows, affinity = monotone_world(DOMAINS, seed=100 + seed)
             rng = np.random.default_rng(900 + seed)
             for split in loto_splits(DOMAINS, "predictor"):
-                _, ordering = success_predictor(features, labels, split, FAST)
+                _, ordering, _ = success_predictor(rows, split, FAST)
                 truth = max(
                     (d for d in DOMAINS if d != split.target),
                     key=lambda s: affinity[(s, split.target)],
@@ -256,8 +310,11 @@ class TestSuccessPredictor:
         assert predictor_hits / trials > 0.4  # far above the 0.2 chance rate
 
 
-def source_quality_world(domains, seed):
-    """Affinity depends only on the source, so one global order is correct."""
+def source_quality_world(domains, seed, f1=None):
+    """Affinity depends only on the source, so one global order is correct.
+
+    Returns ranker rows and the source qualities; `f1` replaces every mean F1.
+    """
     rng = np.random.default_rng(seed)
     levels = rng.permutation(np.linspace(0.15, 0.9, len(domains)))
     quality = {d: float(q) for d, q in zip(domains, levels)}
@@ -268,17 +325,17 @@ def source_quality_world(domains, seed):
             if s == t:
                 continue
             features[(s, t)] = make_features(quality[s])
-            f1_means[(s, t)] = quality[s]
-    return features, f1_means, quality
+            f1_means[(s, t)] = quality[s] if f1 is None else f1
+    rows = loto_rows(domains, "ranker", features, f1_matrix(domains, f1_means), 0.8)
+    return rows, quality
 
 
 class TestDomainRanker:
     def test_recovers_global_source_order(self):
-        features, f1_means, quality = source_quality_world(DOMAINS, seed=4)
-        samples = build_ranker_samples(features, f1_means)
+        rows, quality = source_quality_world(DOMAINS, seed=4)
         split = loto_splits(DOMAINS, "ranker")[2]
-        model, ordering = domain_ranker(
-            samples, split, GBDTParams(trees=60, depth=3), repeats=11, seed=0
+        model, ordering, _ = domain_ranker(
+            rows, split, GBDTParams(trees=60, depth=3), repeats=11, seed=0
         )
         expected = sorted(
             (d for d in DOMAINS if d != split.target),
@@ -288,10 +345,9 @@ class TestDomainRanker:
         assert all(b >= a for a, b in zip(ordering.scores, ordering.scores[1:]))
 
     def test_ordering_is_permutation(self):
-        features, f1_means, _ = source_quality_world(DOMAINS, seed=5)
-        samples = build_ranker_samples(features, f1_means)
+        rows, _ = source_quality_world(DOMAINS, seed=5)
         for split in loto_splits(DOMAINS, "ranker")[:2]:
-            _, ordering = domain_ranker(samples, split, FAST, repeats=3, seed=1)
+            _, ordering, _ = domain_ranker(rows, split, FAST, repeats=3, seed=1)
             assert sorted(ordering.ranked_sources) == sorted(
                 d for d in DOMAINS if d != split.target
             )
@@ -309,11 +365,10 @@ class TestDomainRanker:
         random_total = 0.0
         n = 0
         for seed in range(5):
-            features, f1_means, quality = source_quality_world(DOMAINS, 200 + seed)
-            samples = build_ranker_samples(features, f1_means)
+            rows, quality = source_quality_world(DOMAINS, 200 + seed)
             rng = np.random.default_rng(300 + seed)
             for split in loto_splits(DOMAINS, "ranker"):
-                _, ordering = domain_ranker(samples, split, FAST, repeats=5, seed=seed)
+                _, ordering, _ = domain_ranker(rows, split, FAST, repeats=5, seed=seed)
                 ranker_total += concordance(list(ordering.ranked_sources), quality)
                 random_total += concordance(
                     list(rng.permutation([d for d in DOMAINS if d != split.target])),
@@ -323,8 +378,7 @@ class TestDomainRanker:
         assert ranker_total / n > random_total / n
 
     def test_one_scoring_call_matches_per_pair_comparator(self, monkeypatch):
-        features, f1_means, _ = source_quality_world(DOMAINS, seed=7)
-        samples = build_ranker_samples(features, f1_means)
+        rows, _ = source_quality_world(DOMAINS, seed=7)
         split = loto_splits(DOMAINS, "ranker")[1]
         calls = []
         predict_proba = GBDTModel.predict_proba
@@ -334,14 +388,12 @@ class TestDomainRanker:
             return predict_proba(model, X)
 
         monkeypatch.setattr(GBDTModel, "predict_proba", counting)
-        model, ordering = domain_ranker(samples, split, FAST, repeats=5, seed=3)
+        model, ordering, _ = domain_ranker(rows, split, FAST, repeats=5, seed=3)
         assert calls == [len(split.test)]
-
-        by_pair = {s.pair: s for s in samples if s.target == split.target}
 
         def prefers(a, b):
             s1, s2 = sorted((a, b))
-            p = float(predict_proba(model, by_pair[(s1, s2)].features[None, :])[0])
+            p = float(predict_proba(model, rows[(s1, s2, split.target)][0][None, :])[0])
             return p >= 0.5 if a == s1 else p < 0.5
 
         candidates = sorted({s for key in split.test for s in key[:2]})
@@ -354,22 +406,21 @@ class TestDomainRanker:
 
     def test_tied_preferences_fall_back_to_name_order(self):
         # Every source equally good: each preference label is 1, one class.
-        features, f1_means, _ = source_quality_world(DOMAINS, seed=6)
-        f1_means = {k: 0.5 for k in f1_means}
-        samples = build_ranker_samples(features, f1_means)
+        rows, _ = source_quality_world(DOMAINS, seed=6, f1=0.5)
         split = loto_splits(DOMAINS, "ranker")[1]
-        model, ordering = domain_ranker(samples, split, FAST, repeats=5, seed=2)
+        model, ordering, _ = domain_ranker(rows, split, FAST, repeats=5, seed=2)
         assert model.trees == []
         others = tuple(d for d in DOMAINS if d != split.target)
         assert ordering.ranked_sources == others
         assert ordering.scores == tuple(float(i) for i in range(len(others)))
 
     def test_missing_sample_rejected(self):
-        features, f1_means, _ = source_quality_world(DOMAINS, seed=6)
-        samples = build_ranker_samples(features, f1_means)
-        split = loto_splits(DOMAINS, "ranker")[0]
-        with pytest.raises(ValidationError, match="ranker sample missing"):
-            domain_ranker(samples[1:], split, FAST)
+        # A pair absent from the feature matrix leaves its ranker rows unbuilt.
+        features, f1 = pair_world(DOMAINS, seed=6)
+        del features[("kitchen", "books")]
+        with pytest.raises(ValidationError,
+                           match=r"features missing for pair \('kitchen', 'books'\)"):
+            loto_rows(DOMAINS, "ranker", features, f1_matrix(DOMAINS, f1), 0.8)
 
 
 class TestOrderingPersistence:
