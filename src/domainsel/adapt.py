@@ -17,12 +17,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import VARIANTS
 from .errors import ComputationError, ValidationError
 from .optim import Adam
 
 log = logging.getLogger(__name__)
-
-VARIANTS = ("none", "sda", "msda", "msdar")
 
 RIDGE_JITTER = 1e-8
 DOMAIN_CLF_PENALTY = 1e-3

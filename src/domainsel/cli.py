@@ -2,7 +2,10 @@
 
 Every subcommand runs the pipeline up to its stage, reusing artifacts
 whose inputs have not changed. Exit codes: 0 success, 1 invalid input or
-config, 2 a computation failed.
+config, 2 a computation failed. Argument and config errors exit before
+numpy loads: the pipeline is imported only once they are checked, and it
+checks the config-only preconditions of every stage the command reaches
+before it builds anything.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 from .config import META_MODES, load_config, resolve_config, validate_config
 from .errors import ComputationError, ValidationError
-from .pipeline import run_pipeline
 from .workspace import Workspace
 
 log = logging.getLogger(__name__)
@@ -127,6 +129,8 @@ def run(args) -> int:
     only_mode = only_variant = None
     if args.command == "meta":
         only_mode, only_variant = _meta_restriction(resolved, args)
+    from .pipeline import run_pipeline  # loads numpy; the checks above do not
+
     ws = Workspace(args.workspace)
     run_pipeline(ws, resolved, upto=_STAGE_OF[args.command], n_jobs=args.jobs,
                  only_mode=only_mode, only_variant=only_variant)

@@ -11,15 +11,15 @@ import copy
 import hashlib
 import json
 
-from .adapt import VARIANTS
 from .errors import ValidationError
-from .synth import child_seed
 
 STAGES = (
     "data", "embed", "lm", "features", "adapt", "downstream", "meta", "report",
 )
 
 META_MODES = ("predictor", "ranker")
+
+VARIANTS = ("none", "sda", "msda", "msdar")
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -202,6 +202,12 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as e:
         raise ValidationError(f"config file {path} is not valid JSON: {e}") from e
     return validate_config(obj)
+
+
+def child_seed(seed: int, *parts: str) -> int:
+    """Stable sub-seed derivation; independent of process or numpy state."""
+    digest = hashlib.sha256("|".join([str(seed), *parts]).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def resolve_config(cfg: dict, seed_override: int | None = None) -> dict:

@@ -40,19 +40,34 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
 
 
-def _build_tree(X, g, h, rows, depth, reg_lambda):
+def _leaf(weight, rows, leaves):
+    leaves.append((rows, weight))
+    return {"leaf": weight}
+
+
+def _build_tree(X, g, h, rows, depth, reg_lambda, sorted_rows, leaves):
+    """Grow one tree over `rows`; each leaf appends (its rows, weight) to `leaves`.
+
+    `sorted_rows` maps a searched row set (in order) to its column order,
+    sorted values and cut mask. It lives for one fit: between rounds only
+    g and h change, and most nodes search a row set an earlier round did.
+    """
     gr, hr = g[rows], h[rows]
     G = float(gr.sum())
     H = float(hr.sum())
     if depth == 0 or len(rows) < 2:
-        return {"leaf": -G / (H + reg_lambda)}
+        return _leaf(-G / (H + reg_lambda), rows, leaves)
 
     # One split search for all features at once. Each column is ordered by
     # a stable sort of this node's rows, so its prefix sums (and hence the
     # gain bits) are those of a per-feature search over the same rows.
-    Xr = X[rows]
-    order = np.argsort(Xr, axis=0, kind="stable")
-    xs = np.take_along_axis(Xr, order, axis=0)
+    key = rows.tobytes()
+    if key not in sorted_rows:
+        Xr = X[rows]
+        order = np.argsort(Xr, axis=0, kind="stable")
+        xs = np.take_along_axis(Xr, order, axis=0)
+        sorted_rows[key] = order, xs, xs[:-1] < xs[1:]  # cut only between distinct values
+    order, xs, cut = sorted_rows[key]
     GL = np.cumsum(gr[order], axis=0)[:-1]
     HL = np.cumsum(hr[order], axis=0)[:-1]
     GR, HR = G - GL, H - HL
@@ -61,12 +76,12 @@ def _build_tree(X, g, h, rows, depth, reg_lambda):
         + GR * GR / (HR + reg_lambda)
         - G * G / (H + reg_lambda)
     )
-    gains = np.where(xs[:-1] < xs[1:], gains, -np.inf)  # cut only between distinct values
+    gains = np.where(cut, gains, -np.inf)
     col_best = gains.max(axis=0)
     f = int(np.argmax(col_best))  # first max = lowest feature
     best_gain = float(col_best[f])
     if best_gain <= 0.0:
-        return {"leaf": -G / (H + reg_lambda)}
+        return _leaf(-G / (H + reg_lambda), rows, leaves)
     k = int(np.argmax(gains[:, f]))  # first max = lowest threshold
     threshold = float(xs[k, f])
     left_rows = rows[order[: k + 1, f]]
@@ -75,8 +90,9 @@ def _build_tree(X, g, h, rows, depth, reg_lambda):
         "feature": f,
         "threshold": threshold,
         "gain": best_gain,
-        "left": _build_tree(X, g, h, left_rows, depth - 1, reg_lambda),
-        "right": _build_tree(X, g, h, right_rows, depth - 1, reg_lambda),
+        "left": _build_tree(X, g, h, left_rows, depth - 1, reg_lambda, sorted_rows, leaves),
+        "right": _build_tree(X, g, h, right_rows, depth - 1, reg_lambda, sorted_rows,
+                             leaves),
     }
 
 
@@ -174,13 +190,17 @@ def gbdt_train(X, y, params: GBDTParams, feature_names=None,
     margin = np.zeros(len(X))
     trees = []
     rows = np.arange(len(X))
+    sorted_rows = {}
     for _round in range(n_trees):
         p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, rows, params.depth, params.reg_lambda)
-        trees.append(tree)
-        margin += params.learning_rate * _tree_predict(tree, X)
+        leaves = []
+        trees.append(_build_tree(X, g, h, rows, params.depth, params.reg_lambda,
+                                 sorted_rows, leaves))
+        # The leaves partition the rows as _tree_predict would route them.
+        for leaf_rows, weight in leaves:
+            margin[leaf_rows] += params.learning_rate * weight
     return GBDTModel(trees, params.learning_rate, X.shape[1], feature_names)
 
 
@@ -196,8 +216,9 @@ def _stratified_folds(y, folds, seed):
 
 
 def _logloss(p, y):
+    """Mean log-loss of probabilities p against labels y, along p's last axis."""
     p = np.clip(p, 1e-15, 1.0 - 1e-15)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
 
 
 def gbdt_train_cv(X, y, params: GBDTParams, feature_names=None, folds: int = 5) -> GBDTModel:
@@ -220,10 +241,9 @@ def gbdt_train_cv(X, y, params: GBDTParams, feature_names=None, folds: int = 5) 
         tr = assignment != fold
         va = ~tr
         model = gbdt_train(X[tr], y[tr], params, feature_names)
-        margin = np.zeros(int(va.sum()))
-        for t, tree in enumerate(model.trees):
-            margin += params.learning_rate * _tree_predict(tree, X[va])
-            losses[fold, t] = _logloss(_sigmoid(margin), y[va])
+        steps = [params.learning_rate * _tree_predict(tree, X[va]) for tree in model.trees]
+        # Row t sums the first t + 1 trees in the order a running sum adds them.
+        losses[fold] = _logloss(_sigmoid(np.cumsum(steps, axis=0)), y[va])
     mean_loss = losses.mean(axis=0)
     best_rounds = int(np.argmin(mean_loss)) + 1  # first minimum = fewest trees
     log.debug("cv selected %d trees (mean logloss %.4f)", best_rounds, mean_loss.min())

@@ -22,7 +22,7 @@ from . import corpus as corpus_mod
 from .adapt import (
     CONFIG_FIELDS, AdaptConfig, AdaptModel, encode, stack_marginalized, train_sda,
 )
-from .config import STAGES, config_hash
+from .config import STAGES, child_seed, config_hash
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
     cross_domain_matrix,
@@ -45,7 +45,7 @@ from .meta import (
 from .ngram_lm import TrigramLM, train_kn
 from .report import build_table1, build_table2, pca_export, true_ordering
 from .simfeat import feature_vector, load_feature_matrix, save_feature_matrix
-from .synth import child_seed, spec_from_config, synth_domain, synth_names
+from .synth import spec_from_config, synth_domain, synth_names
 from .workspace import Job, StageResult, Workspace, run_stage
 
 log = logging.getLogger(__name__)
@@ -55,20 +55,68 @@ def _corpus_path(name: str) -> str:
     return f"corpora/{name}.json"
 
 
-def _check_name(name: str) -> str:
-    if not name or not all(c.isalnum() or c in "-_" for c in name):
-        raise ValidationError(
-            f"domain name {name!r} must use only letters, digits, '-' or '_'"
-        )
-    return name
-
-
 def domain_names(cfg: dict) -> list:
     """The configured domains, sorted; other corpora in the workspace are unused."""
     data = cfg["data"]
     if data["mode"] == "synth":
         return sorted(synth_names(data["synth"]["domains"]))
     return sorted(src["name"] for src in data["sources"])
+
+
+def _check_stages(cfg: dict, upto: str) -> None:
+    """Config-only preconditions of every stage through `upto`.
+
+    Checked before any job runs, so a config that some stage would reject
+    builds nothing; each message names the dotted config key at fault.
+    """
+    reached = STAGES[: STAGES.index(upto) + 1]
+    data = cfg["data"]
+    if data["mode"] == "synth":
+        key = "data.synth.domains"
+        for field in ("domains", "topics"):
+            if data["synth"][field] < 2:
+                raise ValidationError(
+                    f"config key 'data.synth.{field}' must be >= 2, "
+                    f"got {data['synth'][field]}"
+                )
+    else:
+        key = "data.sources"
+        if not data["sources"]:
+            raise ValidationError("config key 'data.sources' needs at least one "
+                                  "entry in ingest mode")
+        for i, src in enumerate(data["sources"]):
+            name = src["name"]
+            if not (isinstance(name, str) and name
+                    and all(c.isalnum() or c in "-_" for c in name)):
+                raise ValidationError(
+                    f"config key 'data.sources[{i}].name' must use only letters, "
+                    f"digits, '-' or '_', got {name!r}"
+                )
+            if name == "global" and "embed" in reached:
+                raise ValidationError(
+                    f"config key 'data.sources[{i}].name' is 'global', which "
+                    "collides with the shared embedding table"
+                )
+    names = domain_names(cfg)
+    least = {"downstream": 2, "meta": 3}
+    if cfg["meta"]["modes"]:
+        # The ordering tables report top-5 hits, so each target needs >= 5
+        # candidate sources.
+        least["report"] = 6
+    for stage in reached:
+        if len(names) < least.get(stage, 0):
+            raise ValidationError(
+                f"config key '{key}' gives {len(names)} domains; the {stage} "
+                f"stage needs at least {least[stage]}"
+            )
+    if "report" in reached:
+        for i, pair in enumerate(cfg["report"]["pca_pairs"]):
+            for name in pair:
+                if name not in names:
+                    raise ValidationError(
+                        f"config key 'report.pca_pairs[{i}]' names {name!r}, "
+                        "which is not a configured domain"
+                    )
 
 
 def _sha256(path) -> str | None:
@@ -108,10 +156,8 @@ def _data_jobs(ws: Workspace, cfg: dict) -> list:
         spec = spec_from_config(data["synth"], seed)
         reads = dict(common, synth=data["synth"])
         return [[job(n, partial(synth_domain, spec, n), reads) for n in spec.domains]]
-    if not data["sources"]:
-        raise ValidationError("ingest mode needs at least one data.sources entry")
     return [[
-        job(_check_name(src["name"]),
+        job(src["name"],
             partial(corpus_mod.load_domain, src["path"], src["format"], src["name"],
                     src.get("binarize_threshold")),
             dict(common, source=src, source_sha256=_sha256(src["path"])))
@@ -133,8 +179,6 @@ def _sentence_path(name: str, split: str, side: str) -> str:
 def _embed_jobs(ws: Workspace, cfg: dict) -> list:
     e = cfg["embed"]
     names = domain_names(cfg)
-    if "global" in names:
-        raise ValidationError("domain name 'global' collides with the shared table")
     kwargs = dict(dim=e["dim"], window=e["window"], negatives=e["negatives"],
                   epochs=e["epochs"])
 
@@ -311,8 +355,6 @@ def _downstream_outputs(variant: str, seeds) -> list:
 def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     d = cfg["downstream"]
     names = domain_names(cfg)
-    if len(names) < 2:
-        raise ValidationError("downstream needs at least 2 domains")
     inputs = {}
     lock = threading.Lock()
 
@@ -384,8 +426,6 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
     m = cfg["meta"]
     threshold = cfg["downstream"]["success_threshold"]
     names = domain_names(cfg)
-    if len(names) < 3:
-        raise ValidationError("meta models need at least 3 domains")
 
     def make(mode, variant):
         def build():
@@ -459,12 +499,6 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
     modes = cfg["meta"]["modes"]
     threshold = cfg["downstream"]["success_threshold"]
     names = domain_names(cfg)
-    # The ordering table reports top-5 hits, so each target needs >= 5
-    # candidate sources.
-    if modes and len(names) < 6:
-        raise ValidationError(
-            f"ordering tables need at least 6 domains, got {len(names)}"
-        )
 
     def make_table1(mode):
         def build():
@@ -494,9 +528,6 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 
     def make_pca(s, t):
         def build():
-            for name in (s, t):
-                if name not in names:
-                    raise ValidationError(f"pca pair names unknown domain {name!r}")
             a_s, b_s = _load_sentences(ws, s, "train")
             a_t, b_t = _load_sentences(ws, t, "train")
             pca_export(
@@ -574,6 +605,7 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
     """
     if upto not in STAGES:
         raise ValidationError(f"unknown stage {upto!r}")
+    _check_stages(resolved, upto)
     results = {}
     for stage in STAGES[: STAGES.index(upto) + 1]:
         combined = StageResult()

@@ -7,22 +7,16 @@ so mixture overlap is a known ground-truth affinity between domains.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import child_seed
 from .corpus import DomainCorpus, TextPairExample
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
-
-
-def child_seed(seed: int, *parts: str) -> int:
-    """Stable sub-seed derivation; independent of process or numpy state."""
-    digest = hashlib.sha256("|".join([str(seed), *parts]).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") >> 1
 
 
 @dataclass(frozen=True)

@@ -648,3 +648,91 @@ class TestStaleness:
         assert all(r.skipped == [] for r in results.values())
         assert built(results) == set(json.loads(
             (world[0] / "manifest.json").read_text())["artifacts"])
+
+
+def tiny_world(domains: int) -> dict:
+    return merged(VARIANTS_CONFIG, {"data": {"synth": {"domains": domains}},
+                                    "adapt": {"variants": ["none"]}})
+
+
+def ingest_edit(cfg: dict, sources) -> dict:
+    return merged(cfg, {"data": {"sources": sources}})
+
+
+# case -> (command, config from the jsonl world's config, key the error names)
+UP_FRONT_CASES = {
+    "synth_1_domain": ("pipeline", lambda _: tiny_world(1), "data.synth.domains"),
+    "synth_5_domains": ("pipeline", lambda _: tiny_world(5), "data.synth.domains"),
+    "synth_2_domains_meta": ("meta", lambda _: tiny_world(2), "data.synth.domains"),
+    "pca_unknown_domain": (
+        "pipeline",
+        lambda _: dict(tiny_world(6), report={"pca_pairs": [["syn00", "syn09"]]}),
+        "report.pca_pairs[0]"),
+    "ingest_no_sources": ("pipeline", lambda cfg: ingest_edit(cfg, []), "data.sources"),
+    "ingest_bad_name": (
+        "ingest",
+        lambda cfg: ingest_edit(cfg, [dict(cfg["data"]["sources"][0], name="a b")]),
+        "data.sources[0].name"),
+    "ingest_number_name": (
+        "ingest",
+        lambda cfg: ingest_edit(cfg, [dict(cfg["data"]["sources"][0], name=7)]),
+        "data.sources[0].name"),
+    "ingest_named_global": (
+        "embed",
+        lambda cfg: ingest_edit(cfg, [dict(cfg["data"]["sources"][0], name="global"),
+                                      *cfg["data"]["sources"][1:]]),
+        "data.sources[0].name"),
+    "ingest_1_domain_downstream": (
+        "downstream", lambda cfg: ingest_edit(cfg, cfg["data"]["sources"][:1]),
+        "data.sources"),
+}
+
+
+class TestUpFrontChecks:
+    """A stage precondition that the config alone breaks fails before any job runs."""
+
+    @pytest.mark.parametrize("case", sorted(UP_FRONT_CASES))
+    def test_fails_before_anything_is_built(self, jsonl_world, tmp_path, capsys, case):
+        command, make_config, key = UP_FRONT_CASES[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(make_config(json.loads(jsonl_world[1].read_text()))))
+        ws = tmp_path / "ws"
+        assert main([command, "--workspace", str(ws), "--config", str(cfg)]) == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (ws / "corpora").exists()
+        assert not (ws / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, domains", [("embed", 5), ("downstream", 2)])
+    def test_stages_not_reached_are_not_checked(self, tmp_path, command, domains):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(tiny_world(domains)))
+        assert main([command, "--workspace", str(tmp_path / "ws"), "--config", str(cfg)]) == 0
+
+
+def bench_setup_probe() -> str:
+    """SETUP_PROBE, the start-up that perfbench/run.py times, verbatim."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(
+        encoding="utf-8")
+    return re.search(r'^SETUP_PROBE = """(.*?)"""', source, re.S | re.M).group(1)
+
+
+RUN_CLI = """
+import runpy
+try:
+    runpy.run_module("domainsel.cli", run_name="__main__")
+except SystemExit as e:
+    assert e.code == 0, e.code
+"""
+
+
+@pytest.mark.parametrize("code, args", [(bench_setup_probe(), ["config"]),
+                                        (RUN_CLI, ["--help"])],
+                         ids=["bench_setup_probe", "cli_help"])
+def test_startup_does_not_load_numpy(tmp_path, code, args):
+    """Argument parsing and config validation stay numpy-free."""
+    (tmp_path / "config").write_text(json.dumps(VARIANTS_CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(Path(domainsel.__file__).parents[1]))
+    check = "\nimport sys\nassert 'numpy' not in sys.modules\n"
+    proc = subprocess.run([sys.executable, "-c", code + check, *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,5 +1,4 @@
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,13 +323,55 @@ def _reference_build_tree(X, g, h, rows, depth, reg_lambda):
     }
 
 
+def _reference_train(X, y, params, n_trees=None):
+    """The boosting loop without the per-fit sort memo: the reference split
+    search per node, and a full _tree_predict pass over the train set per
+    round to update the margin."""
+    X, y = gbdt._check_training_inputs(X, y)
+    n_trees = params.trees if n_trees is None else n_trees
+    margin = np.zeros(len(X))
+    trees = []
+    rows = np.arange(len(X))
+    for _round in range(n_trees):
+        p = gbdt._sigmoid(margin)
+        g = p - y
+        h = p * (1.0 - p)
+        tree = _reference_build_tree(X, g, h, rows, params.depth, params.reg_lambda)
+        trees.append(tree)
+        margin += params.learning_rate * gbdt._tree_predict(tree, X)
+    return trees
+
+
+def _reference_train_cv(X, y, params, folds=5):
+    """Round selection with a running validation margin and one loss per round."""
+    X, y = gbdt._check_training_inputs(X, y)
+    folds = min(folds, int(min(np.sum(y == 0), np.sum(y == 1))))
+    if folds < 2:
+        return _reference_train(X, y, params)
+    assignment = _stratified_folds(y, folds, params.seed)
+    losses = np.zeros((folds, params.trees))
+    for fold in range(folds):
+        tr = assignment != fold
+        va = ~tr
+        margin = np.zeros(int(va.sum()))
+        for t, tree in enumerate(_reference_train(X[tr], y[tr], params)):
+            margin += params.learning_rate * gbdt._tree_predict(tree, X[va])
+            p = np.clip(gbdt._sigmoid(margin), 1e-15, 1.0 - 1e-15)
+            losses[fold, t] = -np.mean(y[va] * np.log(p) + (1.0 - y[va]) * np.log(1.0 - p))
+    best_rounds = int(np.argmin(losses.mean(axis=0))) + 1
+    return _reference_train(X, y, params, n_trees=best_rounds)
+
+
+TIED_VALUES = [-1.5, 0.0, 0.25, 1.0, 3.0]
+
+
 @st.composite
 def tied_problems(draw):
     """Small problems full of ties: few distinct values, constant columns,
     duplicate rows, and both classes present."""
     n = draw(st.integers(2, 40))
     n_features = draw(st.integers(1, 20))
-    values = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])
+    values = st.sampled_from(TIED_VALUES)
     base = draw(arrays(np.float64, (draw(st.integers(1, n)), n_features), elements=values))
     X = base[draw(arrays(np.int64, n, elements=st.integers(0, len(base) - 1)))]
     for f in draw(st.lists(st.integers(0, n_features - 1), max_size=3)):
@@ -348,6 +389,25 @@ class TestVectorizedSplitSearch:
     def test_trees_match_per_feature_search(self, problem):
         X, y, params = problem
         got = gbdt_train(X, y, params).trees
-        with mock.patch.object(gbdt, "_build_tree", _reference_build_tree):
-            want = gbdt_train(X, y, params).trees
-        assert json.dumps(got) == json.dumps(want)
+        assert json.dumps(got) == json.dumps(_reference_train(X, y, params))
+
+    def test_trees_match_on_seeded_tied_problems(self):
+        """Hypothesis favours tiny problems. In these larger ones, nodes of one
+        fit often search distinct row sets of equal size, which the per-fit
+        sort memo must keep apart."""
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            X = rng.choice(TIED_VALUES, size=(int(rng.integers(20, 41)),
+                                              int(rng.integers(1, 21))))
+            y = rng.choice([0.0, 1.0], size=len(X))
+            y[:2] = [0.0, 1.0]
+            params = GBDTParams(trees=4, depth=int(rng.integers(2, 5)))
+            got = gbdt_train(X, y, params).trees
+            assert json.dumps(got) == json.dumps(_reference_train(X, y, params))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_problems())
+    def test_cv_trees_match_per_round_losses(self, problem):
+        X, y, params = problem
+        got = gbdt_train_cv(X, y, params).trees
+        assert json.dumps(got) == json.dumps(_reference_train_cv(X, y, params))
