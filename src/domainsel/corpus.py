@@ -6,6 +6,7 @@ similarity features) consumes the immutable :class:`DomainCorpus` built here.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -27,8 +28,19 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, NFC-normalize, and split on runs of non-alphanumerics."""
-    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
+    """Lowercase, NFC-normalize, and split on runs of non-alphanumerics.
+
+    Every stage tokenizes the same texts, so results are memoized; each
+    call returns a new list.
+    """
+    return list(_tokens(text))
+
+
+# Room for more than the 3,600 texts of the default world, so that a stage
+# scanning every corpus does not cycle the cache.
+@functools.lru_cache(maxsize=8192)
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(_TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower()))
 
 
 @dataclass(frozen=True)

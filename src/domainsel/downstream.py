@@ -7,13 +7,24 @@ seeds yields the F1 matrix. Normalizing each transfer score by the
 in-domain score of its target gives the success labels the meta models
 learn from: a pair succeeds when F1_ST / F1_TT exceeds the threshold
 strictly, or, into a target whose in-domain F1 is zero, when F1_ST > 0.
+
+Many of those fits repeat: a plain (`none`) source classifier does not
+depend on its target, and every variant's diagonal is the same fit. So
+`train_pair_classifier` keeps its recent results, keyed by the sha256 of
+its input arrays and settings, and returns a kept model instead of training
+again. Training is deterministic, so a kept model is bit-equal to a fresh
+fit. The cache holds read-only parameters and evicts the least recently
+used models once their parameters exceed `FIT_CACHE_BYTES`.
 """
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import json
 import logging
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +36,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (128, 32)
 DEFAULT_SUCCESS_THRESHOLD = 0.8
+# Parameter bytes of the fits kept for reuse. The bound is in bytes, not
+# models: a 384-wide msda model holds 427 KB, a 64-wide one 100 KB.
+FIT_CACHE_BYTES = 1 << 20
 
 
 def pair_input(vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
@@ -110,6 +124,43 @@ def _initial_state(seed: int, d: int, h1: int, h2: int):
     return init, rng.bit_generator.state
 
 
+class _FitCache:
+    """Fits by key, least recently used first, bounded by parameter bytes."""
+
+    def __init__(self):
+        self._models = OrderedDict()
+        self._lock = threading.Lock()
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+    def get(self, key: str) -> PairClassifier | None:
+        with self._lock:
+            clf = self._models.get(key)
+            if clf is not None:
+                self._models.move_to_end(key)
+            return clf
+
+    def put(self, key: str, clf: PairClassifier) -> None:
+        with self._lock:
+            if key in self._models:  # trained meanwhile on another thread
+                return
+            self._models[key] = clf
+            self.nbytes += sum(p.nbytes for p in clf.params)
+            while self.nbytes > FIT_CACHE_BYTES:
+                _, old = self._models.popitem(last=False)
+                self.nbytes -= sum(p.nbytes for p in old.params)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._models.clear()
+            self.nbytes = 0
+
+
+_fits = _FitCache()
+
+
 def train_pair_classifier(
     X_train: np.ndarray,
     y_train: np.ndarray,
@@ -125,7 +176,9 @@ def train_pair_classifier(
     """Binary cross-entropy training with early stopping on validation F1.
 
     Keeps the parameters of the best validation epoch (the untrained state
-    counts as epoch 0), so the selected model never scores below it.
+    counts as epoch 0), so the selected model never scores below it. An
+    equal earlier call's model is returned from the fit cache (see the
+    module docstring); its parameters are read-only.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
@@ -143,6 +196,23 @@ def train_pair_classifier(
     if classes != {0.0, 1.0}:
         raise ValidationError(f"training set must contain both classes, got {classes}")
 
+    settings = (seed, tuple(hidden), max_epochs, patience, batch, lr)
+    h = hashlib.sha256(repr(settings).encode())
+    for a in (X_train, y_train, X_val, y_val):
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a))
+    key = h.hexdigest()
+    clf = _fits.get(key)
+    if clf is None:
+        clf = _fit(X_train, y_train, X_val, y_val, *settings)
+        for p in clf.params:
+            p.flags.writeable = False
+        _fits.put(key, clf)
+    return clf
+
+
+def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
+    """The training loop of `train_pair_classifier`, on checked float64 inputs."""
     n, d = X_train.shape
     init, state = _initial_state(seed, d, *hidden)
     rng = np.random.default_rng(seed)

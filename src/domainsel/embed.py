@@ -28,7 +28,11 @@ TEXTS_PER_BLOCK = 16
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Token vectors for one domain; immutable once trained."""
+    """Token vectors for one domain; immutable once trained.
+
+    Tables that `train_skipgram` and `load` return have a read-only matrix,
+    so that pipeline jobs can share them.
+    """
 
     dim: int
     domain: str
@@ -89,7 +93,9 @@ class EmbeddingTable:
                 rows.append([float(x) for x in fields[1:]])
         if len(tokens) != n:
             raise ValidationError(f"{path}: header claims {n} tokens, found {len(tokens)}")
-        return cls(dim=dim, domain=domain, tokens=tuple(tokens), matrix=np.array(rows))
+        matrix = np.array(rows)
+        matrix.flags.writeable = False
+        return cls(dim=dim, domain=domain, tokens=tuple(tokens), matrix=matrix)
 
 
 def _sigmoid(x):
@@ -254,6 +260,7 @@ def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, do
 
     log.debug("skipgram '%s': vocab=%d loss %.4f -> %.4f",
               domain, len(vocab), losses[0], losses[-1])
+    w_in.flags.writeable = False
     return EmbeddingTable(
         dim=dim, domain=domain, tokens=tuple(vocab), matrix=w_in,
         loss_curve=tuple(losses),

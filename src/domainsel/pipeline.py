@@ -10,7 +10,6 @@ seeds, so reruns and parallel runs are interchangeable.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import threading
@@ -46,7 +45,7 @@ from .ngram_lm import TrigramLM, train_kn
 from .report import build_table1, build_table2, pca_export, true_ordering
 from .simfeat import feature_vector, load_feature_matrix, save_feature_matrix
 from .synth import spec_from_config, synth_domain, synth_names
-from .workspace import Job, StageResult, Workspace, run_stage
+from .workspace import Job, StageResult, Workspace, file_sha256, run_stage
 
 log = logging.getLogger(__name__)
 
@@ -119,25 +118,25 @@ def _check_stages(cfg: dict, upto: str) -> None:
                     )
 
 
-def _sha256(path) -> str | None:
-    """Digest of a file's bytes; None if unreadable, so its job still runs
-    and reports the problem itself."""
-    try:
-        with open(path, "rb") as f:
-            return hashlib.sha256(f.read()).hexdigest()
-    except OSError:
-        return None
-
-
 def _phase_keys(ws: Workspace, stage: str, phase) -> dict:
     """First output -> key of each (job, config values, input relpaths)."""
-    digests = {rel: _sha256(ws.path(rel)) for rel in {r for _, _, ins in phase for r in ins}}
+    digests = {rel: file_sha256(ws.path(rel)) for rel in {r for _, _, ins in phase for r in ins}}
     return {job.outputs[0]: config_hash([stage, reads, [[r, digests[r]] for r in inputs]])
             for job, reads, inputs in phase}
 
 
+def _keep(ws: Workspace, rel: str, obj) -> None:
+    """Save a corpus, table or language model and hand it to later jobs."""
+    obj.save(ws.path(rel))
+    ws.keep(rel, obj)
+
+
+def _read_corpus(ws: Workspace, name: str) -> DomainCorpus:
+    return ws.read(_corpus_path(name), DomainCorpus.load)
+
+
 def _load_corpora(ws: Workspace, names) -> dict:
-    return {name: DomainCorpus.load(ws.path(_corpus_path(name))) for name in names}
+    return {name: _read_corpus(ws, name) for name in names}
 
 
 def _data_jobs(ws: Workspace, cfg: dict) -> list:
@@ -149,7 +148,7 @@ def _data_jobs(ws: Workspace, cfg: dict) -> list:
     def job(name, load, reads):
         def build():
             assigned = corpus_mod.split(load(), ratios, seed=child_seed(seed, "split", name))
-            assigned.save(ws.path(_corpus_path(name)))
+            _keep(ws, _corpus_path(name), assigned)
         return Job([_corpus_path(name)], build, note=name), reads, []
 
     if data["mode"] == "synth":
@@ -160,7 +159,7 @@ def _data_jobs(ws: Workspace, cfg: dict) -> list:
         job(src["name"],
             partial(corpus_mod.load_domain, src["path"], src["format"], src["name"],
                     src.get("binarize_threshold")),
-            dict(common, source=src, source_sha256=_sha256(src["path"])))
+            dict(common, source=src, source_sha256=file_sha256(src["path"])))
         for src in data["sources"]
     ]]
 
@@ -176,6 +175,10 @@ def _sentence_path(name: str, split: str, side: str) -> str:
     return f"sentences/{name}_{split}_{side}.npy"
 
 
+def _read_table(ws: Workspace, rel: str, domain: str) -> EmbeddingTable:
+    return ws.read(rel, partial(EmbeddingTable.load, domain=domain))
+
+
 def _embed_jobs(ws: Workspace, cfg: dict) -> list:
     e = cfg["embed"]
     names = domain_names(cfg)
@@ -189,35 +192,20 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
             examples=tuple(ex for name in names for ex in corpora[name].subset("train")),
         )
         table = train_skipgram(merged, seed=child_seed(e["seed"], "global"), **kwargs)
-        table.save(ws.path(GLOBAL_TABLE))
+        _keep(ws, GLOBAL_TABLE, table)
 
     def make_table(name):
         def build():
-            loaded = DomainCorpus.load(ws.path(_corpus_path(name)))
             table = train_skipgram(
-                loaded, seed=child_seed(e["seed"], "table", name), **kwargs
+                _read_corpus(ws, name), seed=child_seed(e["seed"], "table", name), **kwargs
             )
-            table.save(ws.path(_table_path(name)))
+            _keep(ws, _table_path(name), table)
         return build
-
-    shared = {}
-
-    def global_table():
-        """The global table, read-only and loaded once.
-
-        Shared by every sentence job of this stage; the embed stage runs them
-        serially.
-        """
-        if not shared:
-            table = EmbeddingTable.load(ws.path(GLOBAL_TABLE), domain="global")
-            table.matrix.flags.writeable = False
-            shared["global"] = table
-        return shared["global"]
 
     def make_sentences(name):
         def build():
-            table = global_table()
-            loaded = DomainCorpus.load(ws.path(_corpus_path(name)))
+            table = _read_table(ws, GLOBAL_TABLE, "global")
+            loaded = _read_corpus(ws, name)
             for split in SPLITS:
                 examples = loaded.subset(split)
                 if not examples:
@@ -250,10 +238,9 @@ def _lm_jobs(ws: Workspace, cfg: dict) -> list:
 
     def make(name):
         def build():
-            loaded = DomainCorpus.load(ws.path(_corpus_path(name)))
-            model = train_kn(loaded, min_count=settings["min_count"],
+            model = train_kn(_read_corpus(ws, name), min_count=settings["min_count"],
                              discount=settings["discount"])
-            model.save(ws.path(_lm_path(name)))
+            _keep(ws, _lm_path(name), model)
         return build
 
     return [[(Job([_lm_path(n)], make(n), note=n), settings, [_corpus_path(n)])
@@ -269,10 +256,9 @@ def _features_jobs(ws: Workspace, cfg: dict) -> list:
 
     def build():
         corpora = _load_corpora(ws, names)
-        tables = {
-            n: EmbeddingTable.load(ws.path(_table_path(n)), domain=n) for n in names
-        }
-        lms = {n: TrigramLM.load(ws.path(_lm_path(n))) for n in names}
+        tables = {n: _read_table(ws, _table_path(n), n) for n in names}
+        lms = {n: ws.read(_lm_path(n), TrigramLM.load) for n in names}
+        stats = {n: corpus_mod.unigram_stats(corpora[n], "train") for n in names}
         matrix = {}
         for s in names:
             for t in names:
@@ -281,6 +267,7 @@ def _features_jobs(ws: Workspace, cfg: dict) -> list:
                 matrix[(s, t)] = feature_vector(
                     corpora[s], corpora[t], tables[s], tables[t], lms[s],
                     alpha=settings["alpha"], eps=settings["smoothing"],
+                    stats=(stats[s], stats[t]),
                 )
         save_feature_matrix(matrix, ws.path(FEATURES_CSV))
 
@@ -409,6 +396,22 @@ def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     ]]
 
 
+def _success_reads(ws: Workspace, variant: str, threshold: float):
+    """What a job that labels `variant`'s pairs by `success_labels` reads of
+    the threshold: the successful pairs, from the mean F1 it also reads.
+
+    A threshold edit that flips no label then leaves such a job fresh. An
+    unreadable F1 matrix gives the threshold itself, so the job runs and
+    reports the problem.
+    """
+    try:
+        matrix = load_f1_matrix(ws.path("downstream"), variant)
+    except (OSError, ValueError, KeyError):
+        return {"success_threshold": threshold}
+    success = success_labels(matrix, threshold)[1]
+    return sorted([s, t] for (s, t), passed in success.items() if passed)
+
+
 def _orderings_path(mode: str, variant: str) -> str:
     return f"meta/{mode}_{variant}_orderings.csv"
 
@@ -469,8 +472,6 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
         return build
 
     common = {k: m[k] for k in ("trees", "depth", "learning_rate", "seed")}
-    reads = {"predictor": dict(common, success_threshold=threshold),
-             "ranker": dict(common, repeats=m["repeats"])}
     jobs = []
     for mode in m["modes"]:
         if only_mode and mode != only_mode:
@@ -481,8 +482,12 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
             outputs = [_orderings_path(mode, variant), _meta_report_path(mode, variant)]
             outputs += [_meta_model_path(mode, variant, t) for t in names]
             inputs = [FEATURES_CSV, *_downstream_outputs(variant, cfg["downstream"]["seeds"])]
+            if mode == "predictor":
+                reads = dict(common, success=_success_reads(ws, variant, threshold))
+            else:
+                reads = dict(common, repeats=m["repeats"])
             jobs.append((Job(outputs, make(mode, variant), note=f"{mode}:{variant}"),
-                         reads[mode], inputs))
+                         reads, inputs))
     return [jobs]
 
 
@@ -554,7 +559,8 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
                          for path in (_orderings_path, _meta_report_path)])
             for mode in modes]
     jobs.append((Job(["report/table2.csv", "report/table2.txt"], build_table2_job,
-                     note="table2"), threshold, f1_files))
+                     note="table2"),
+                 {v: _success_reads(ws, v, threshold) for v in variants}, f1_files))
     for s, t in cfg["report"]["pca_pairs"]:
         jobs.append((Job([_pca_path(s, t)], make_pca(s, t), note=f"pca:{s}->{t}"), None,
                      _train_sentences(s, t)))

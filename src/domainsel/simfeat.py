@@ -163,12 +163,19 @@ def feature_vector(
     source_lm: TrigramLM,
     alpha: float = DEFAULT_ALPHA,
     eps: float = DEFAULT_SMOOTHING,
+    stats: tuple[UnigramStats, UnigramStats] | None = None,
 ) -> FeatureVector:
-    """Assemble f1..f10 for the ordered (source, target) pair, train split only."""
+    """Assemble f1..f10 for the ordered (source, target) pair, train split only.
+
+    `stats` passes the (source, target) `unigram_stats` of those splits when
+    the caller already has them; a matrix of pairs then counts each domain's
+    tokens once.
+    """
     split_s = "train" if source.splits is not None else None
     split_t = "train" if target.splits is not None else None
-    stats_s = unigram_stats(source, split_s)
-    stats_t = unigram_stats(target, split_t)
+    if stats is None:
+        stats = unigram_stats(source, split_s), unigram_stats(target, split_t)
+    stats_s, stats_t = stats
 
     f1, f2 = coverage(stats_s, stats_t)
     p_s, p_t = smoothed_pair(stats_s, stats_t, eps)

@@ -7,12 +7,18 @@ output is missing or its recorded key no longer matches; stale artifacts
 are logged and rebuilt, never silently reused. Failed jobs delete their
 partial outputs; outputs leave the manifest before their job rebuilds them,
 so a killed build is redone.
+
+Within a run, a job that saves an object can `keep` it, and later jobs
+`read` it without parsing the file again, as long as the file still has the
+bytes it was kept with.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,12 +30,46 @@ log = logging.getLogger(__name__)
 MANIFEST_NAME = "manifest.json"
 
 
+def file_sha256(path) -> str | None:
+    """Digest of a file's bytes; None if unreadable, so that a job reading
+    it still runs and reports the problem itself."""
+    try:
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+    except OSError:
+        return None
+
+
 class Workspace:
     def __init__(self, root):
         self.root = Path(root)
+        self._kept = {}  # relpath -> (sha256 of the file's bytes, object)
+        self._lock = threading.Lock()  # pool threads read concurrently
 
     def path(self, rel: str) -> Path:
         return self.root / rel
+
+    def keep(self, rel: str, obj) -> None:
+        """Hand `obj`, just saved to `rel`, to later reads in this run.
+
+        Kept objects are shared, so they must be immutable.
+        """
+        digest = file_sha256(self.path(rel))
+        with self._lock:
+            self._kept[rel] = (digest, obj)
+
+    def read(self, rel: str, load):
+        """The object saved at `rel`: the kept one while the file still has
+        the bytes it was kept with, else `load(path)`, which is then kept."""
+        digest = file_sha256(self.path(rel))
+        with self._lock:
+            kept = self._kept.get(rel)
+        if digest is not None and kept is not None and kept[0] == digest:
+            return kept[1]
+        obj = load(self.path(rel))
+        with self._lock:
+            self._kept[rel] = (digest, obj)
+        return obj
 
     def load_manifest(self) -> dict:
         path = self.root / MANIFEST_NAME

@@ -326,12 +326,27 @@ def test_traced_benchmark_hooks_are_all_called(tmp_path):
         [sys.executable, str(traced), str(out), "meta", "--workspace", str(tmp_path / "ws"),
          "--config", str(cfg_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    layers = json.loads(out.read_text(encoding="utf-8"))["layers"]
+    trace = json.loads(out.read_text(encoding="utf-8"))
+    layers = trace["layers"]
     assert {name for name in expected if layers.get(name, {}).get("calls", 0) < 1} == set()
+    # The exact counts that perfbench/run.py checks: a change that skipped
+    # calls at their call sites would fail here before it fails the bench.
+    d = VARIANTS_CONFIG["data"]["synth"]["domains"]
+    s = len(VARIANTS_CONFIG["downstream"]["seeds"])
+    variants = VARIANTS_CONFIG["adapt"]["variants"]
+    v = len(variants)
+    assert "sda" in variants
+    assert layers["downstream.train_pair_classifier"]["calls"] == d * d * s * v
+    assert layers["embed.train_skipgram"]["calls"] == d + 1
+    assert layers["adapt.train_sda"]["calls"] == d * (d - 1)
+    # `none` trains one classifier per (source, seed), every variant shares
+    # it on the diagonal, and each adapted pair has its own.
+    assert trace["distinct_fits"] == d * s + (v - 1) * d * (d - 1) * s
 
 
 def test_embed_reads_global_table_once(tmp_path, monkeypatch):
-    """Sentence jobs share one read-only load of the global table."""
+    """Sentence jobs share one read-only global table: the one just trained
+    in a cold build, else one load."""
     from domainsel.embed import EmbeddingTable
 
     loads, writeable = [], []
@@ -350,8 +365,14 @@ def test_embed_reads_global_table_once(tmp_path, monkeypatch):
     monkeypatch.setattr(EmbeddingTable, "sentence_vector", checked_pool)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
-    rc = main(["embed", "--workspace", str(tmp_path / "ws"), "--config", str(cfg_path)])
-    assert rc == 0
+    ws = tmp_path / "ws"
+    args = ["embed", "--workspace", str(ws), "--config", str(cfg_path)]
+    assert main(args) == 0
+    assert loads == []
+    assert writeable and not any(writeable)
+    shutil.rmtree(ws / "sentences")
+    writeable.clear()
+    assert main(args) == 0
     assert loads == ["global.txt"]
     assert writeable and not any(writeable)
 
@@ -392,6 +413,44 @@ def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
     assert rc == 0
     assert sorted(calls) == ["corpora"] + ["sentences"] * 9  # 3 domains x 3 splits
     assert writeable and not any(writeable)
+
+
+def test_features_count_each_domain_once(tmp_path, monkeypatch):
+    """The features job takes each domain's unigram stats once and hands
+    feature_vector read-only tables, trained in this run or loaded."""
+    import domainsel.corpus as corpus_mod
+    import domainsel.pipeline as pipeline_mod
+    import domainsel.simfeat as simfeat_mod
+
+    stats, writeable = [], []
+    real_stats, real_vector = corpus_mod.unigram_stats, pipeline_mod.feature_vector
+
+    def counted_stats(corpus, split_filter=None):
+        stats.append(corpus.name)
+        return real_stats(corpus, split_filter)
+
+    def checked_vector(source, target, source_table, target_table, *args, **kwargs):
+        writeable.extend([source_table.matrix.flags.writeable,
+                          target_table.matrix.flags.writeable])
+        return real_vector(source, target, source_table, target_table, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "unigram_stats", counted_stats)
+    monkeypatch.setattr(simfeat_mod, "unigram_stats", counted_stats)
+    monkeypatch.setattr(pipeline_mod, "feature_vector", checked_vector)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(tiny_world(6)))
+    ws = tmp_path / "ws"
+    args = ["features", "--workspace", str(ws), "--config", str(cfg_path)]
+    names = [f"syn0{i}" for i in range(6)]
+    assert main(args) == 0  # cold: the tables trained in this run
+    assert sorted(stats) == names
+    assert len(writeable) == 2 * 30 and not any(writeable)
+    (ws / "features" / "features.csv").unlink()
+    stats.clear()
+    writeable.clear()
+    assert main(args) == 0  # the tables loaded from their files
+    assert sorted(stats) == names
+    assert len(writeable) == 2 * 30 and not any(writeable)
 
 
 def test_domains_come_from_config(tmp_path, caplog):
@@ -469,6 +528,16 @@ class TestErrors:
                    "--config", str(cfg_path), "--variant", "msdar"])
         assert rc == 1
         assert "msdar" in capsys.readouterr().err
+
+    def test_corrupt_f1_matrix_fails_its_meta_job(self, world, tmp_path, capsys):
+        """A damaged F1 file is reported by the job that reads it, not when
+        the meta stage derives its job keys from the success labels."""
+        ws = tmp_path / "ws"
+        shutil.copytree(world[0], ws)
+        (ws / "downstream" / "f1_none.json").write_text("{")
+        rc = main(["meta", "--workspace", str(ws), "--config", str(world[1])])
+        assert rc == 2
+        assert "stage 'meta', artifact 'predictor:none'" in capsys.readouterr().err
 
     def test_builder_crash_exits_2_and_cleans_up(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "config.json"
@@ -625,6 +694,29 @@ class TestStaleness:
         cold = tmp_path / "cold"
         run_pipeline(Workspace(cold), resolved)
         assert tree_hashes(ws) == tree_hashes(cold)
+
+    @pytest.mark.parametrize("flips", [False, True], ids=["no_flip", "flip"])
+    def test_threshold_edit_rebuilds_what_its_labels_change(self, world, tmp_path, flips):
+        matrix = load_f1_matrix(world[0] / "downstream", "none")
+        normalized, before = success_labels(matrix, 0.8)
+        ratios = sorted(r for (s, t), r in normalized.items() if s != t and r < 1.0)
+        if flips:
+            threshold = 0.75
+        else:  # halfway to the nearest ratio above 0.8
+            threshold = (0.8 + min(r for r in ratios + [1.0] if r > 0.8)) / 2
+        flipped = success_labels(matrix, threshold)[1] != before
+        assert flipped == flips
+        ws, resolved, results = self.rerun(
+            world, tmp_path, {"downstream": {"success_threshold": threshold}})
+        labelled = {"report/table2.csv", "report/table2.txt",
+                    "meta/predictor_none_orderings.csv", "meta/predictor_none_report.json"}
+        if flips:
+            assert labelled <= built(results)
+        else:
+            assert built(results) == {"report/manifest.json"}
+        cold = tmp_path / "cold"
+        run_pipeline(Workspace(cold), resolved)
+        assert tree_hashes(ws) == tree_hashes(cold)  # manifest.json included
 
     def test_adding_a_variant_rebuilds_no_none_output(self, world, tmp_path):
         _, _, results = self.rerun(world, tmp_path, {"adapt": {"variants": ["none", "msda"]}})

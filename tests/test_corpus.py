@@ -37,6 +37,13 @@ class TestTokenize:
     def test_empty(self):
         assert tokenize("...!?") == []
 
+    def test_each_call_returns_a_new_list(self):
+        first = tokenize("Memo me, memo me")
+        first.append("mutated")
+        second = tokenize("Memo me, memo me")
+        assert second == ["memo", "me", "memo", "me"]
+        assert second is not tokenize("Memo me, memo me")
+
     @given(st.text(max_size=80))
     def test_idempotent_on_rejoined_output(self, text):
         once = tokenize(text)

@@ -1,8 +1,13 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import domainsel.downstream as downstream_mod
 from domainsel.downstream import (
+    FIT_CACHE_BYTES,
     F1Matrix,
     cross_domain_matrix,
     f1_score,
@@ -265,3 +270,133 @@ class TestF1MatrixIO:
         save_f1_matrix(m, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"f1_DT_seed0.csv", "f1_DT_seed1.csv", "f1_DT_mean.csv", "f1_DT.json"}
+
+
+FIT_SETTINGS = dict(seed=4, hidden=(8, 4), max_epochs=6, patience=3, batch=8, lr=0.01)
+
+
+def fit_inputs():
+    X, y = separable_set(40, seed=21)
+    Xv, yv = separable_set(20, seed=22)
+    return [X, y, Xv, yv]
+
+
+def param_bytes(clf) -> bytes:
+    return b"".join(p.tobytes() for p in clf.params)
+
+
+class TestFitCache:
+    """An equal call returns the kept fit; any change to the inputs trains."""
+
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        """The fits that really train, one entry each."""
+        count = []
+        real = downstream_mod._fit
+
+        def counted(*args):
+            count.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(downstream_mod, "_fit", counted)
+        return count
+
+    def test_equal_call_trains_nothing_and_matches_a_fresh_fit(self, trainings):
+        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        assert len(trainings) == 1
+        assert again is first
+        downstream_mod._fits.clear()
+        fresh = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        assert len(trainings) == 2
+        assert fresh is not first
+        assert param_bytes(fresh) == param_bytes(first)
+
+    @pytest.mark.parametrize("change", [
+        "x_element", "x_val_element", "label", "val_label", "shape",
+        "seed", "lr", "hidden", "batch", "max_epochs", "patience",
+    ])
+    def test_any_change_misses(self, trainings, change):
+        train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        inputs, settings = fit_inputs(), dict(FIT_SETTINGS)
+        X, y, Xv, yv = inputs
+        if change == "x_element":
+            X[7, 1] = np.nextafter(X[7, 1], np.inf)
+        elif change == "x_val_element":
+            Xv[3, 0] += 1.0
+        elif change == "label":
+            y[5] = 1.0 - y[5]
+        elif change == "val_label":
+            yv[2] = 1.0 - yv[2]
+        elif change == "shape":
+            # The same bytes, split at other array boundaries.
+            stream = np.concatenate([X.ravel(), y, Xv.ravel(), yv])
+            inputs = [stream[:80].reshape(20, 4), stream[80:100],
+                      stream[100:164].reshape(16, 4), stream[164:]]
+        else:
+            settings[change] = {"seed": 5, "lr": 0.02, "hidden": (8, 5), "batch": 9,
+                                "max_epochs": 7, "patience": 4}[change]
+        train_pair_classifier(*inputs, **settings)
+        assert len(trainings) == 2
+
+    def test_kept_parameters_are_read_only(self):
+        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        for p in clf.params:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError):
+                p[...] = 0.0
+
+    def test_byte_bound_holds_after_many_wide_fits(self, trainings):
+        rng = np.random.default_rng(0)
+        y = np.tile([0.0, 1.0], 5)
+        for i in range(6):
+            X = rng.normal(size=(10, 384))
+            clf = train_pair_classifier(X, y, X, y, seed=i, hidden=(128, 32),
+                                        max_epochs=0)
+            size = sum(p.nbytes for p in clf.params)
+            assert downstream_mod._fits.nbytes <= FIT_CACHE_BYTES
+        assert size > FIT_CACHE_BYTES // 3  # so the bound holds two of them
+        assert len(downstream_mod._fits) == FIT_CACHE_BYTES // size
+        assert downstream_mod._fits.nbytes == len(downstream_mod._fits) * size
+        assert len(trainings) == 6
+        # The most recent fit is kept, the oldest is not.
+        train_pair_classifier(X, y, X, y, seed=5, hidden=(128, 32), max_epochs=0)
+        assert len(trainings) == 6
+        train_pair_classifier(rng.normal(size=(10, 384)), y, X, y, seed=0,
+                              hidden=(128, 32), max_epochs=0)
+        assert len(trainings) == 7
+
+    def test_equal_calls_on_two_threads_return_equal_models(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(train_pair_classifier, *fit_inputs(), **FIT_SETTINGS)
+                           for _ in range(4)]
+                models = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({param_bytes(m) for m in models}) == 1
+        assert len(downstream_mod._fits) == 1
+
+    def test_target_independent_matrix_trains_each_source_seed_once(
+            self, trainings, monkeypatch):
+        calls = []
+        real = downstream_mod.train_pair_classifier
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(downstream_mod, "train_pair_classifier", counted)
+        sets = {d: (separable_set(30, seed=i), separable_set(12, seed=10 + i))
+                for i, d in enumerate("ABC")}
+
+        def pair_data(s, t):
+            (X, y), (Xv, yv) = sets[s]
+            Xte, yte = sets[t][1]
+            return X, y, Xv, yv, Xte, yte
+
+        cross_domain_matrix("ABC", pair_data, "none", (0, 1), hidden=(4, 4), max_epochs=2)
+        assert len(calls) == 18
+        assert len(trainings) == 6

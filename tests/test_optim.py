@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
+import domainsel.downstream as downstream_mod
 from domainsel.adapt import AdaptConfig, _dae_loss, train_sda
 from domainsel.downstream import (
     PairClassifier,
@@ -248,7 +249,9 @@ def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4)):
 class TestInitialStateCache:
     """Fits restore a cached initial draw; no call history may show in the bits."""
 
-    def test_fit_independent_of_call_history(self):
+    def test_fit_independent_of_call_history(self, monkeypatch):
+        # Keep no fit, so that every call below trains.
+        monkeypatch.setattr(downstream_mod, "FIT_CACHE_BYTES", 0)
         X, y = classification_set(40, 6, 0)
         Xv, yv = classification_set(20, 6, 100)
         want = b"".join(p.tobytes() for p in reference_train_pair_classifier(
@@ -272,6 +275,7 @@ class TestInitialStateCache:
         finally:
             sys.setswitchinterval(interval)
         assert results == [want] * 4
+        assert len(downstream_mod._fits) == 0
 
     def test_cached_arrays_read_only(self):
         init, state = _initial_state(7, 5, 4, 3)

@@ -183,3 +183,45 @@ class TestRunStage:
         result = run_demo(ws, [Job(["a.txt", "b.txt"], build)], "h1")
         assert sorted(result.built) == ["a.txt", "b.txt"]
         assert ws.path("b.txt").read_text() == "b" * 100
+
+
+class TestHandOff:
+    """`read` serves the object kept for a file while the file keeps its bytes."""
+
+    def loader(self, loads):
+        def load(path):
+            loads.append(path.name)
+            return {"loaded": path.read_text()}
+        return load
+
+    def test_kept_object_served_while_bytes_match(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.path("a.txt").write_text("one")
+        kept = {"kept": "one"}
+        ws.keep("a.txt", kept)
+        loads = []
+        assert ws.read("a.txt", self.loader(loads)) is kept
+        ws.path("a.txt").write_text("one")  # rewritten with the same bytes
+        assert ws.read("a.txt", self.loader(loads)) is kept
+        assert loads == []
+
+    def test_rewritten_file_is_reloaded_and_kept(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.path("a.txt").write_text("one")
+        ws.keep("a.txt", {"kept": "one"})
+        ws.path("a.txt").write_text("two")
+        loads = []
+        first = ws.read("a.txt", self.loader(loads))
+        assert first == {"loaded": "two"}
+        assert ws.read("a.txt", self.loader(loads)) is first
+        assert loads == ["a.txt"]
+
+    def test_unkept_file_loads_once(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.path("a.txt").write_text("one")
+        loads = []
+        first = ws.read("a.txt", self.loader(loads))
+        assert ws.read("a.txt", self.loader(loads)) is first
+        assert loads == ["a.txt"]
+        assert Workspace(tmp_path).read("a.txt", self.loader(loads)) == first
+        assert loads == ["a.txt", "a.txt"]  # each workspace object keeps its own
