@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -56,6 +58,19 @@ class AdaptConfig:
 # AdaptConfig fields other than `variant`, in declaration order: the settings
 # read from the `adapt` config section, and a saved model's "config" keys.
 CONFIG_FIELDS = tuple(f.name for f in fields(AdaptConfig) if f.name != "variant")
+
+# The arrays of one sda layer, in their order in a saved model.
+SDA_ARRAYS = ("w1", "b1", "w2", "b2", "noise_std")
+
+
+def _param_shapes(cfg: AdaptConfig, input_dim: int) -> list:
+    """Shapes of a model's parameter arrays, in their order in a saved model."""
+    d = input_dim
+    if cfg.variant == "sda":
+        return [[d, d], [d], [d, d], [d], [d]] * cfg.layers
+    if cfg.variant in ("msda", "msdar"):
+        return [[d, d + 1]] * cfg.layers
+    return []
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -164,13 +179,20 @@ def msdar_layer(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> np.ndarra
 
 
 class AdaptModel:
-    """Trained encoder; immutable and safe for concurrent encode calls."""
+    """Trained encoder; immutable and safe for concurrent encode calls.
 
-    def __init__(self, cfg: AdaptConfig, input_dim: int, params: dict):
+    `loss_curves` holds an sda model's per-layer training losses (the
+    untrained loss, then one per epoch); it is saved with the model and
+    never read by `encode`.
+    """
+
+    def __init__(self, cfg: AdaptConfig, input_dim: int, params: dict,
+                 loss_curves=()):
         self.cfg = cfg
         self.variant = cfg.variant
         self.input_dim = input_dim
         self.params = params
+        self.loss_curves = loss_curves
         if cfg.variant in ("msda", "msdar"):
             self.output_dim = input_dim * (len(params["mapping"]) + 1)
         else:
@@ -197,39 +219,73 @@ class AdaptModel:
         return np.vstack(outputs)
 
     def save(self, path) -> None:
-        blob = {
+        """One JSON header line, padded so that the arrays start 8-byte
+        aligned, then every parameter array as raw little-endian float64.
+
+        Written to a temporary file and renamed into place.
+        """
+        if self.variant == "sda":
+            arrays = [layer[k] for layer in self.params["layers"] for k in SDA_ARRAYS]
+        else:
+            arrays = list(self.params.get("mapping", ()))
+        header = {
             "variant": self.variant,
             "config": {name: getattr(self.cfg, name) for name in CONFIG_FIELDS},
             "input_dim": self.input_dim,
+            "shapes": [list(a.shape) for a in arrays],
         }
-        if self.variant in ("msda", "msdar"):
-            blob["mapping"] = [W.tolist() for W in self.params["mapping"]]
-        elif self.variant == "sda":
-            blob["layers"] = [
-                {k: v.tolist() for k, v in layer.items()}
-                for layer in self.params["layers"]
-            ]
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(blob))  # C encoder; json.dump uses the Python one
+        if self.loss_curves:
+            header["loss_curves"] = [list(curve) for curve in self.loss_curves]
+        line = json.dumps(header).encode("utf-8")
+        line += b" " * (-(len(line) + 1) % 8) + b"\n"
+        tmp = f"{path}.tmp"
+        with open(tmp, "wb") as f:
+            f.write(line)
+            for a in arrays:
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
+        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "AdaptModel":
-        with open(path, "r", encoding="utf-8") as f:
-            blob = json.load(f)
-        ckw = blob.get("config", {})
-        cfg = AdaptConfig(variant=blob["variant"], **ckw)
-        if cfg.variant in ("msda", "msdar"):
-            params = {"mapping": [np.array(W) for W in blob["mapping"]]}
-        elif cfg.variant == "sda":
-            params = {
-                "layers": [
-                    {k: np.array(v) for k, v in layer.items()}
-                    for layer in blob["layers"]
-                ]
-            }
+        """The model saved at `path`, with read-only arrays over the file's bytes."""
+        with open(path, "rb") as f:
+            data = f.read()
+        end = data.find(b"\n")
+        try:
+            if end < 0:
+                raise ValueError("no header line")
+            header = json.loads(data[:end])
+            cfg = AdaptConfig(variant=header["variant"], **header["config"])
+            input_dim = header["input_dim"]
+            if not isinstance(input_dim, int) or input_dim < 1:
+                raise ValueError(f"input_dim {input_dim!r}")
+            shapes = _param_shapes(cfg, input_dim)
+            if header["shapes"] != shapes:
+                raise ValueError("array shapes do not match the config")
+            curves = [tuple(float(x) for x in curve)
+                      for curve in header.get("loss_curves", ())]
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValidationError(f"{path}: bad adapt model header: {e}") from None
+        sizes = [math.prod(shape) for shape in shapes]
+        offset = end + 1
+        if len(data) - offset != 8 * sum(sizes):
+            raise ValidationError(
+                f"{path}: {len(data) - offset} bytes of arrays, the header's "
+                f"shapes need {8 * sum(sizes)}"
+            )
+        arrays = []
+        for shape, size in zip(shapes, sizes):
+            arrays.append(np.frombuffer(data, "<f8", size, offset).reshape(shape))
+            offset += 8 * size
+        if cfg.variant == "sda":
+            k = len(SDA_ARRAYS)
+            params = {"layers": [dict(zip(SDA_ARRAYS, arrays[i : i + k]))
+                                 for i in range(0, len(arrays), k)]}
+        elif cfg.variant in ("msda", "msdar"):
+            params = {"mapping": arrays}
         else:
             params = {}
-        return cls(cfg, blob["input_dim"], params)
+        return cls(cfg, input_dim, params, curves)
 
 
 def stack_marginalized(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> AdaptModel:
@@ -311,9 +367,7 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
         layers.append({"w1": w1, "b1": b1, "w2": w2, "b2": b2, "noise_std": noise_std})
         H = np.tanh(w1 @ H + b1[:, None])
     log.debug("sda trained: %s", ["%.4f->%.4f" % (c[0], c[-1]) for c in curves])
-    model = AdaptModel(cfg, d, {"layers": layers})
-    model.loss_curves = curves  # diagnostic, not persisted
-    return model
+    return AdaptModel(cfg, d, {"layers": layers}, curves)
 
 
 def encode(model: AdaptModel, X: np.ndarray) -> np.ndarray:

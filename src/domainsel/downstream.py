@@ -10,11 +10,14 @@ strictly, or, into a target whose in-domain F1 is zero, when F1_ST > 0.
 
 Many of those fits repeat: a plain (`none`) source classifier does not
 depend on its target, and every variant's diagonal is the same fit. So
-`train_pair_classifier` keeps its recent results, keyed by the sha256 of
-its input arrays and settings, and returns a kept model instead of training
-again. Training is deterministic, so a kept model is bit-equal to a fresh
-fit. The cache holds read-only parameters and evicts the least recently
-used models once their parameters exceed `FIT_CACHE_BYTES`.
+`train_pair_classifier` keys each call by the sha256 of its input arrays and
+settings, and returns a kept model instead of training again; an equal call
+already training on another thread is waited for, not repeated. Training is
+deterministic, so a kept model is bit-equal to a fresh fit. Only the fits
+that a later call can ask for are kept: `cross_domain_matrix` passes
+`keep=False` for an adapted off-diagonal pair, whose encoded inputs no other
+pair shares. The cache holds read-only parameters and evicts the least
+recently used models once their parameters exceed `FIT_CACHE_BYTES`.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import json
 import logging
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +41,9 @@ log = logging.getLogger(__name__)
 DEFAULT_HIDDEN = (128, 32)
 DEFAULT_SUCCESS_THRESHOLD = 0.8
 # Parameter bytes of the fits kept for reuse. The bound is in bytes, not
-# models: a 384-wide msda model holds 427 KB, a 64-wide one 100 KB.
-FIT_CACHE_BYTES = 1 << 20
+# models: a 64-wide model with the default hidden widths holds 100 KB, so the
+# bound keeps the 18 plain (source, seed) fits of the default world.
+FIT_CACHE_BYTES = 4 << 20
 
 
 def pair_input(vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
@@ -125,32 +130,51 @@ def _initial_state(seed: int, d: int, h1: int, h2: int):
 
 
 class _FitCache:
-    """Fits by key, least recently used first, bounded by parameter bytes."""
+    """Fits by key, least recently used first, bounded by parameter bytes.
+
+    A key that is training has a pending future, so an equal call on another
+    thread waits for that fit instead of training it again.
+    """
 
     def __init__(self):
         self._models = OrderedDict()
+        self._training = {}  # key -> Future of the fit in progress
         self._lock = threading.Lock()
         self.nbytes = 0
 
     def __len__(self) -> int:
         return len(self._models)
 
-    def get(self, key: str) -> PairClassifier | None:
+    def fit(self, key: str, train, keep: bool) -> PairClassifier:
+        """The kept or in-progress fit of `key`, else `train()`, kept if `keep`."""
         with self._lock:
             clf = self._models.get(key)
             if clf is not None:
                 self._models.move_to_end(key)
-            return clf
-
-    def put(self, key: str, clf: PairClassifier) -> None:
+                return clf
+            pending = self._training.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._training[key] = Future()
+        if not owner:
+            return pending.result()
+        try:
+            clf = train()
+        except BaseException as e:
+            with self._lock:
+                del self._training[key]
+            pending.set_exception(e)
+            raise
         with self._lock:
-            if key in self._models:  # trained meanwhile on another thread
-                return
-            self._models[key] = clf
-            self.nbytes += sum(p.nbytes for p in clf.params)
-            while self.nbytes > FIT_CACHE_BYTES:
-                _, old = self._models.popitem(last=False)
-                self.nbytes -= sum(p.nbytes for p in old.params)
+            del self._training[key]
+            if keep:
+                self._models[key] = clf
+                self.nbytes += sum(p.nbytes for p in clf.params)
+                while self.nbytes > FIT_CACHE_BYTES:
+                    _, old = self._models.popitem(last=False)
+                    self.nbytes -= sum(p.nbytes for p in old.params)
+        pending.set_result(clf)
+        return clf
 
     def clear(self) -> None:
         with self._lock:
@@ -172,13 +196,15 @@ def train_pair_classifier(
     patience: int = 5,
     batch: int = 32,
     lr: float = 1e-3,
+    keep: bool = True,
 ) -> PairClassifier:
     """Binary cross-entropy training with early stopping on validation F1.
 
     Keeps the parameters of the best validation epoch (the untrained state
     counts as epoch 0), so the selected model never scores below it. An
     equal earlier call's model is returned from the fit cache (see the
-    module docstring); its parameters are read-only.
+    module docstring); its parameters are read-only. `keep=False` trains
+    without keeping the result, for a fit that no later call asks for.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
@@ -201,18 +227,13 @@ def train_pair_classifier(
     for a in (X_train, y_train, X_val, y_val):
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a))
-    key = h.hexdigest()
-    clf = _fits.get(key)
-    if clf is None:
-        clf = _fit(X_train, y_train, X_val, y_val, *settings)
-        for p in clf.params:
-            p.flags.writeable = False
-        _fits.put(key, clf)
-    return clf
+    train = functools.partial(_fit, X_train, y_train, X_val, y_val, *settings)
+    return _fits.fit(h.hexdigest(), train, keep)
 
 
 def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
-    """The training loop of `train_pair_classifier`, on checked float64 inputs."""
+    """The training loop of `train_pair_classifier`, on checked float64
+    inputs; the returned parameters are read-only."""
     n, d = X_train.shape
     init, state = _initial_state(seed, d, *hidden)
     rng = np.random.default_rng(seed)
@@ -259,7 +280,10 @@ def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, bat
             if stale >= patience:
                 log.debug("early stop at epoch %d (best val F1 %.3f)", epoch, best_f1)
                 break
-    return PairClassifier(opt.unflatten(best), d, seed)
+    params = opt.unflatten(best)
+    for p in params:
+        p.flags.writeable = False
+    return PairClassifier(params, d, seed)
 
 
 @dataclass(frozen=True)
@@ -301,7 +325,9 @@ def cross_domain_matrix(
     X_test, y_test): source-split training and validation representations
     and target test representations, already encoded for this variant
     (identity for the in-domain diagonal). It is called once per ordered
-    pair, and every seed trains on that one result.
+    pair, and every seed trains on that one result. The identity-encoded
+    fits (every `none` pair and every diagonal) are kept for reuse; the
+    others are asked for once.
     """
     domains = tuple(domains)
     seeds = tuple(seeds)
@@ -311,8 +337,10 @@ def cross_domain_matrix(
         for j, target in enumerate(domains):
             X_tr, y_tr, X_va, y_va, X_te, y_te = pair_data(source, target)
             y_te = np.asarray(y_te, dtype=np.int64)
+            keep = variant == "none" or source == target
             for seed in seeds:
-                clf = train_pair_classifier(X_tr, y_tr, X_va, y_va, seed=seed, **train_kwargs)
+                clf = train_pair_classifier(X_tr, y_tr, X_va, y_va, seed=seed,
+                                            keep=keep, **train_kwargs)
                 per_seed[seed][i, j] = f1_score(clf.predict(X_te), y_te)
         log.debug("f1 matrix variant=%s source=%s done", variant, source)
     mean = np.mean([per_seed[s] for s in sorted(per_seed)], axis=0)

@@ -276,7 +276,7 @@ def _features_jobs(ws: Workspace, cfg: dict) -> list:
 
 
 def _adapt_path(variant: str, s: str, t: str) -> str:
-    return f"adapt/{variant}/{s}__{t}.json"
+    return f"adapt/{variant}/{s}__{t}.bin"
 
 
 def _train_sentences(*names) -> list:
@@ -570,15 +570,14 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 
 # Stages whose jobs run on the `--jobs` thread pool. Threads pay only where
 # a job spends its time in numpy calls long enough to run without the GIL:
-# the downstream MLP sweeps (one job per variant), and only once batches are
-# large. Every other stage is Python loops or many tiny numpy calls, where
-# two threads mostly hand the GIL back and forth. Measured on a 2-vCPU host,
-# default world with all four variants and 5 MLP epochs, downstream stage
-# alone, medians of 6 (3 at 100 examples): at 30 examples per domain it took
-# 1.89 s on 2 threads against 1.85 s serial (2.68 s of CPU against 1.83 s);
-# at 100 examples per domain, 4.12 s against 4.36 s; at 300 (the default),
-# the whole `downstream` command on a built workspace took 9.01 s against
-# 11.20 s (14.6 s of CPU against 11.1 s, medians of 4, BLAS on one thread).
+# the downstream MLP sweeps (one job per variant). Every other stage is
+# Python loops or many tiny numpy calls, where two threads mostly hand the
+# GIL back and forth. Measured on a 2-vCPU host, BLAS on one thread, default
+# world with all four variants and 5 MLP and sda epochs, downstream stage
+# alone on a workspace built through adapt: at 30 examples per domain it
+# took 1.00 s on 2 threads against 1.20 s serial (1.39 s of CPU against
+# 1.16 s, medians of 6); at 100 examples, 2.28 s against 2.77 s; at 300,
+# 5.08 s against 6.78 s (8.28 s of CPU against 6.76 s; medians of 3).
 # With adapt on 2 threads, traced train_sda time was 1.46 s against 0.24 s
 # serial.
 POOLED_STAGES = ("downstream",)

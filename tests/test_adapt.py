@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+import domainsel.adapt as adapt_mod
 from domainsel.adapt import (
     AdaptConfig,
     AdaptModel,
@@ -264,10 +267,11 @@ class TestEncodeAndPersistence:
         X_t = rng.normal(size=(5, 30))
         cfg = AdaptConfig(variant="msdar", layers=2, dropout_p=0.6, lam=1.0)
         model = stack_marginalized(X_s, X_t, cfg)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = AdaptModel.load(path)
+        loaded = self.roundtrip(model, tmp_path)
         assert loaded.output_dim == model.output_dim
+        assert loaded.loss_curves == []
+        for got, want in zip(loaded.params["mapping"], model.params["mapping"], strict=True):
+            self.assert_bit_equal_read_only(got, want)
         np.testing.assert_array_equal(loaded.encode(X_t), model.encode(X_t))
 
     def test_sda_roundtrip_bit_identical(self, tmp_path):
@@ -276,11 +280,108 @@ class TestEncodeAndPersistence:
         X_t = rng.normal(size=(4, 40))
         cfg = AdaptConfig(variant="sda", layers=3, noise_scale=0.5, sda_epochs=5)
         model = train_sda(X_s, X_t, cfg, seed=7)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = AdaptModel.load(path)
+        loaded = self.roundtrip(model, tmp_path)
         assert loaded.cfg == model.cfg
+        assert loaded.loss_curves == model.loss_curves
+        for got, want in zip(loaded.params["layers"], model.params["layers"], strict=True):
+            assert got.keys() == want.keys()
+            for key in want:
+                self.assert_bit_equal_read_only(got[key], want[key])
         np.testing.assert_array_equal(loaded.encode(X_t), model.encode(X_t))
+
+    def test_none_roundtrip(self, tmp_path):
+        model = AdaptModel(AdaptConfig(variant="none"), 3, {})
+        loaded = self.roundtrip(model, tmp_path)
+        assert loaded.variant == "none" and loaded.input_dim == 3
+
+    @staticmethod
+    def roundtrip(model, tmp_path):
+        """Save, load and save again: the second file has the first's bytes."""
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        model.save(first)
+        loaded = AdaptModel.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        return loaded
+
+    @staticmethod
+    def assert_bit_equal_read_only(got, want):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    def test_sda_loss_curves_in_the_header(self, tmp_path):
+        rng = np.random.default_rng(43)
+        cfg = AdaptConfig(variant="sda", layers=2, sda_epochs=3)
+        model = train_sda(rng.normal(size=(3, 20)), rng.normal(size=(3, 20)), cfg, seed=1)
+        path = tmp_path / "model.bin"
+        model.save(path)
+        header, _ = path.read_bytes().split(b"\n", 1)
+        curves = json.loads(header)["loss_curves"]
+        assert curves == [list(curve) for curve in model.loss_curves]
+        assert [len(curve) for curve in curves] == [4, 4]  # untrained + 3 epochs
+        # The arrays start 8-byte aligned after the header line.
+        assert (len(header) + 1) % 8 == 0
+
+    def test_save_replaces_a_temporary_file(self, tmp_path, monkeypatch):
+        renames = []
+        real = adapt_mod.os.replace
+
+        def recorded(src, dst):
+            renames.append((str(src), str(dst)))
+            return real(src, dst)
+
+        monkeypatch.setattr(adapt_mod.os, "replace", recorded)
+        path = tmp_path / "model.bin"
+        self.marginalized().save(path)
+        assert len(renames) == 1
+        assert renames[0][1] == str(path) and renames[0][0] != str(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    @staticmethod
+    def marginalized():
+        rng = np.random.default_rng(47)
+        cfg = AdaptConfig(variant="msda", layers=2)
+        return stack_marginalized(rng.normal(size=(3, 12)), rng.normal(size=(3, 12)), cfg)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated_arrays", "bytes of arrays"),
+        ("extra_bytes", "bytes of arrays"),
+        ("truncated_header", "bad adapt model header"),
+        ("empty", "bad adapt model header"),
+        ("not_json", "bad adapt model header"),
+        ("missing_key", "bad adapt model header"),
+        ("bad_config", "bad adapt model header"),
+        ("shapes", "bad adapt model header"),
+    ])
+    def test_damaged_file_rejected_naming_its_path(self, tmp_path, damage, message):
+        path = tmp_path / "model.bin"
+        self.marginalized().save(path)
+        data = path.read_bytes()
+        line, arrays = data.split(b"\n", 1)
+        header = json.loads(line)
+        if damage == "truncated_arrays":
+            data = data[:-3]
+        elif damage == "extra_bytes":
+            data += bytes(8)
+        elif damage == "truncated_header":
+            data = line[:20]
+        elif damage == "empty":
+            data = b""
+        elif damage == "not_json":
+            data = line.rstrip()[:-1] + b"\n" + arrays  # no closing brace
+        else:
+            if damage == "missing_key":
+                del header["input_dim"]
+            elif damage == "bad_config":
+                header["config"]["layers"] = 0
+            else:  # shapes that hold the same bytes, split differently
+                header["shapes"] = [[3, 2], [3, 6]]
+            data = json.dumps(header).encode() + b"\n" + arrays
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=message) as info:
+            AdaptModel.load(path)
+        assert str(path) in str(info.value)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="dropout"):

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,64 @@ def test_all_variants_byte_identical_under_threads(tmp_path):
         assert f"downstream/f1_{variant}_mean.csv" in hashes["1"]
     assert any(rel.startswith("adapt/sda/") for rel in hashes["1"])
     assert hashes["2"] == hashes["1"]
+
+
+def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
+    """At --jobs 1 and 2, each distinct pair classifier trains once, the F1
+    CSVs keep their bytes, and the fit cache keeps no adapted off-diagonal fit."""
+    import domainsel.downstream as downstream_mod
+    import domainsel.pipeline as pipeline_mod
+
+    trainings, calls = [], []
+    pair = threading.local()
+    real_fit = downstream_mod._fit
+    real_train = downstream_mod.train_pair_classifier
+    real_matrix = pipeline_mod.cross_domain_matrix
+
+    def counted_fit(*args):
+        trainings.append(1)
+        return real_fit(*args)
+
+    def recorded_train(*args, **kwargs):
+        clf = real_train(*args, **kwargs)
+        calls.append((pair.current, clf))
+        return clf
+
+    def tagged_matrix(names, pair_data, variant, *args, **kwargs):
+        def tagged(s, t):
+            pair.current = (variant, s, t)
+            return pair_data(s, t)
+        return real_matrix(names, tagged, variant, *args, **kwargs)
+
+    monkeypatch.setattr(downstream_mod, "_fit", counted_fit)
+    monkeypatch.setattr(downstream_mod, "train_pair_classifier", recorded_train)
+    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", tagged_matrix)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    d = VARIANTS_CONFIG["data"]["synth"]["domains"]
+    s = len(VARIANTS_CONFIG["downstream"]["seeds"])
+    v = len(VARIANTS_CONFIG["adapt"]["variants"])
+    f1 = {}
+    for jobs in ("1", "2"):
+        downstream_mod._fits.clear()
+        trainings.clear()
+        calls.clear()
+        ws = tmp_path / f"ws{jobs}"
+        rc = main(["downstream", "--workspace", str(ws), "--config", str(cfg_path),
+                   "--jobs", jobs])
+        assert rc == 0
+        assert len(calls) == d * d * s * v
+        assert len(trainings) == d * s + (v - 1) * d * (d - 1) * s
+        kept = list(downstream_mod._fits._models.values())
+        plain = [clf for (variant, _, _), clf in calls if variant == "none"]
+        adapted = [clf for (variant, src, tgt), clf in calls
+                   if variant != "none" and src != tgt]
+        assert len(kept) == d * s
+        assert all(any(k is clf for clf in plain) for k in kept)
+        assert not any(k is clf for k in kept for clf in adapted)
+        f1[jobs] = {p.name: p.read_bytes() for p in sorted((ws / "downstream").glob("*.csv"))}
+    assert len(f1["1"]) == v * (s + 1)
+    assert f1["2"] == f1["1"]
 
 
 def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
@@ -538,6 +597,21 @@ class TestErrors:
         rc = main(["meta", "--workspace", str(ws), "--config", str(world[1])])
         assert rc == 2
         assert "stage 'meta', artifact 'predictor:none'" in capsys.readouterr().err
+
+    def test_truncated_adapt_model_fails_downstream(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(VARIANTS_CONFIG))
+        ws = tmp_path / "ws"
+        args = ["downstream", "--workspace", str(ws), "--config", str(cfg)]
+        assert main(args) == 0
+        model = ws / "adapt" / "msda" / "syn00__syn01.bin"
+        model.write_bytes(model.read_bytes()[:-5])
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "stage 'downstream', artifact 'msda'" in err
+        assert str(model) in err and "bytes of arrays" in err
+        assert "Traceback" not in err
 
     def test_builder_crash_exits_2_and_cleans_up(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -349,24 +350,48 @@ class TestFitCache:
     def test_byte_bound_holds_after_many_wide_fits(self, trainings):
         rng = np.random.default_rng(0)
         y = np.tile([0.0, 1.0], 5)
-        for i in range(6):
-            X = rng.normal(size=(10, 384))
-            clf = train_pair_classifier(X, y, X, y, seed=i, hidden=(128, 32),
-                                        max_epochs=0)
-            size = sum(p.nbytes for p in clf.params)
-            assert downstream_mod._fits.nbytes <= FIT_CACHE_BYTES
-        assert size > FIT_CACHE_BYTES // 3  # so the bound holds two of them
-        assert len(downstream_mod._fits) == FIT_CACHE_BYTES // size
-        assert downstream_mod._fits.nbytes == len(downstream_mod._fits) * size
-        assert len(trainings) == 6
-        # The most recent fit is kept, the oldest is not.
-        train_pair_classifier(X, y, X, y, seed=5, hidden=(128, 32), max_epochs=0)
-        assert len(trainings) == 6
-        train_pair_classifier(rng.normal(size=(10, 384)), y, X, y, seed=0,
-                              hidden=(128, 32), max_epochs=0)
-        assert len(trainings) == 7
 
-    def test_equal_calls_on_two_threads_return_equal_models(self):
+        def fit(X, seed):
+            return train_pair_classifier(X, y, X, y, seed=seed, hidden=(128, 32),
+                                         max_epochs=0)
+
+        first = rng.normal(size=(10, 384))
+        size = sum(p.nbytes for p in fit(first, 0).params)
+        held = FIT_CACHE_BYTES // size
+        assert held >= 2
+        fits = held + 3  # so that the bound evicts three of them
+        for i in range(1, fits):
+            X = rng.normal(size=(10, 384))
+            fit(X, i)
+            assert downstream_mod._fits.nbytes <= FIT_CACHE_BYTES
+        assert len(downstream_mod._fits) == held
+        assert downstream_mod._fits.nbytes == held * size
+        assert len(trainings) == fits
+        # The most recent fit is kept, the oldest is not.
+        fit(X, fits - 1)
+        assert len(trainings) == fits
+        fit(first, 0)
+        assert len(trainings) == fits + 1
+
+    def test_bound_holds_the_plain_fits_of_the_default_world(self):
+        # 6 domains x 3 seeds, 16-wide sentence vectors (64-wide pair
+        # inputs), the default hidden widths.
+        d, (h1, h2) = 64, downstream_mod.DEFAULT_HIDDEN
+        size = 8 * (h1 * d + h1 + h2 * h1 + h2 + h2 + 1)
+        assert 6 * 3 * size <= FIT_CACHE_BYTES
+
+    def test_unkept_fit_trains_again(self, trainings):
+        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False)
+        assert len(downstream_mod._fits) == 0
+        assert not any(p.flags.writeable for p in first.params)
+        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        assert len(trainings) == 2
+        assert param_bytes(again) == param_bytes(first)
+        # An unkept call still returns a kept fit.
+        assert train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False) is again
+        assert len(trainings) == 2
+
+    def test_equal_calls_on_two_threads_return_equal_models(self, trainings):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -376,8 +401,54 @@ class TestFitCache:
                 models = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert len({param_bytes(m) for m in models}) == 1
+        assert all(m is models[0] for m in models)
+        assert len(trainings) == 1
         assert len(downstream_mod._fits) == 1
+
+    @pytest.mark.parametrize("outcome", ["model", "error"])
+    def test_equal_call_waits_for_the_fit_in_progress(self, monkeypatch, outcome):
+        """A second equal call, made while the first trains, gets the first
+        call's model (or error) without training, also with keep=False."""
+        started, release, waiting = (threading.Event() for _ in range(3))
+        trained = []
+        real = downstream_mod._fit
+
+        def blocked(*args):
+            trained.append(1)
+            started.set()
+            assert release.wait(60)
+            if outcome == "error":
+                raise ValidationError("induced failure")
+            return real(*args)
+
+        class Watched(Future):
+            def result(self, timeout=None):
+                waiting.set()
+                return super().result(timeout)
+
+        monkeypatch.setattr(downstream_mod, "_fit", blocked)
+        monkeypatch.setattr(downstream_mod, "Future", Watched)
+
+        def call():
+            try:
+                return train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False)
+            except ValidationError as e:
+                return e
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            try:
+                first = pool.submit(call)
+                assert started.wait(60)
+                second = pool.submit(call)
+                assert waiting.wait(60)
+            finally:
+                release.set()
+            results = [first.result(timeout=60), second.result(timeout=60)]
+        assert trained == [1]
+        assert results[0] is results[1]
+        assert isinstance(results[0], ValidationError) == (outcome == "error")
+        assert len(downstream_mod._fits) == 0
+        assert not downstream_mod._fits._training
 
     def test_target_independent_matrix_trains_each_source_seed_once(
             self, trainings, monkeypatch):

@@ -240,9 +240,9 @@ class TestTrainingLoopsBitEqual:
                     assert layer[key].tobytes() == want[key].tobytes()
 
 
-def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4)):
+def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4), lr=0.01):
     clf = train_pair_classifier(X, y, Xv, yv, seed=seed, hidden=hidden,
-                                max_epochs=6, patience=3, batch=8, lr=0.01)
+                                max_epochs=6, patience=3, batch=8, lr=lr)
     return b"".join(p.tobytes() for p in clf.params)
 
 
@@ -254,8 +254,12 @@ class TestInitialStateCache:
         monkeypatch.setattr(downstream_mod, "FIT_CACHE_BYTES", 0)
         X, y = classification_set(40, 6, 0)
         Xv, yv = classification_set(20, 6, 100)
-        want = b"".join(p.tobytes() for p in reference_train_pair_classifier(
-            X, y, Xv, yv, 3, hidden=(8, 4), max_epochs=6, patience=3, batch=8, lr=0.01))
+
+        def reference(lr):
+            return b"".join(p.tobytes() for p in reference_train_pair_classifier(
+                X, y, Xv, yv, 3, hidden=(8, 4), max_epochs=6, patience=3, batch=8, lr=lr))
+
+        want = reference(0.01)
         _initial_state.cache_clear()
         assert fit_bytes(X, y, Xv, yv, 3) == want  # cold
         X9, y9 = classification_set(40, 9, 1)
@@ -265,16 +269,20 @@ class TestInitialStateCache:
         fit_bytes(X, y, Xv, yv, 3, hidden=(5, 3))  # other hidden widths
         assert fit_bytes(X, y, Xv, yv, 3) == want  # warm
 
+        # Four fits that share one initial draw but not a fit key (an equal
+        # call would wait for the first instead of training), two at a time.
+        lrs = (0.01, 0.02, 0.03, 0.04)
+        wants = [reference(lr) for lr in lrs]
         _initial_state.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(fit_bytes, X, y, Xv, yv, 3) for _ in range(4)]
+                futures = [pool.submit(fit_bytes, X, y, Xv, yv, 3, lr=lr) for lr in lrs]
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [want] * 4
+        assert results == wants
         assert len(downstream_mod._fits) == 0
 
     def test_cached_arrays_read_only(self):
