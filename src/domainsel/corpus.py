@@ -69,6 +69,12 @@ class DomainCorpus:
                 f"!= example count {len(self.examples)}"
             )
 
+    @property
+    def train_split(self) -> str | None:
+        """The split that training and features read: 'train', or None (every
+        example) when the corpus has no split assignment."""
+        return "train" if self.splits is not None else None
+
     def indices(self, split: str | None = None) -> list[int]:
         if split is None:
             return list(range(len(self.examples)))

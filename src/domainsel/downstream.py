@@ -9,15 +9,16 @@ learn from: a pair succeeds when F1_ST / F1_TT exceeds the threshold
 strictly, or, into a target whose in-domain F1 is zero, when F1_ST > 0.
 
 Many of those fits repeat: a plain (`none`) source classifier does not
-depend on its target, and every variant's diagonal is the same fit. So
-`train_pair_classifier` keys each call by the sha256 of its input arrays and
-settings, and returns a kept model instead of training again; an equal call
+depend on its target, and every variant's diagonal is the same fit. Both are
+the identity-encoded fits, so `cross_domain_matrix` hands exactly those to a
+`FitCache`, which keys each call by the sha256 of its input arrays and
+settings and returns a kept model instead of training again; an equal call
 already training on another thread is waited for, not repeated. Training is
-deterministic, so a kept model is bit-equal to a fresh fit. Only the fits
-that a later call can ask for are kept: `cross_domain_matrix` passes
-`keep=False` for an adapted off-diagonal pair, whose encoded inputs no other
-pair shares. The cache holds read-only parameters and evicts the least
-recently used models once their parameters exceed `FIT_CACHE_BYTES`.
+deterministic, so a kept model is bit-equal to a fresh fit. An adapted
+off-diagonal fit is asked for once and trains without a cache. A cache holds
+read-only parameters and evicts the least recently used models once their
+parameters exceed `FIT_CACHE_BYTES`; its owner decides how long it lives (the
+pipeline keeps one per downstream stage).
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ def _initial_state(seed: int, d: int, h1: int, h2: int):
     return init, rng.bit_generator.state
 
 
-class _FitCache:
+class FitCache:
     """Fits by key, least recently used first, bounded by parameter bytes.
 
     A key that is training has a pending future, so an equal call on another
@@ -142,11 +143,8 @@ class _FitCache:
         self._lock = threading.Lock()
         self.nbytes = 0
 
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def fit(self, key: str, train, keep: bool) -> PairClassifier:
-        """The kept or in-progress fit of `key`, else `train()`, kept if `keep`."""
+    def fit(self, key: str, train) -> PairClassifier:
+        """The kept or in-progress fit of `key`, else `train()`, which is kept."""
         with self._lock:
             clf = self._models.get(key)
             if clf is not None:
@@ -167,22 +165,13 @@ class _FitCache:
             raise
         with self._lock:
             del self._training[key]
-            if keep:
-                self._models[key] = clf
-                self.nbytes += sum(p.nbytes for p in clf.params)
-                while self.nbytes > FIT_CACHE_BYTES:
-                    _, old = self._models.popitem(last=False)
-                    self.nbytes -= sum(p.nbytes for p in old.params)
+            self._models[key] = clf
+            self.nbytes += sum(p.nbytes for p in clf.params)
+            while self.nbytes > FIT_CACHE_BYTES:
+                _, old = self._models.popitem(last=False)
+                self.nbytes -= sum(p.nbytes for p in old.params)
         pending.set_result(clf)
         return clf
-
-    def clear(self) -> None:
-        with self._lock:
-            self._models.clear()
-            self.nbytes = 0
-
-
-_fits = _FitCache()
 
 
 def train_pair_classifier(
@@ -196,15 +185,15 @@ def train_pair_classifier(
     patience: int = 5,
     batch: int = 32,
     lr: float = 1e-3,
-    keep: bool = True,
+    cache: FitCache | None = None,
 ) -> PairClassifier:
     """Binary cross-entropy training with early stopping on validation F1.
 
     Keeps the parameters of the best validation epoch (the untrained state
-    counts as epoch 0), so the selected model never scores below it. An
-    equal earlier call's model is returned from the fit cache (see the
-    module docstring); its parameters are read-only. `keep=False` trains
-    without keeping the result, for a fit that no later call asks for.
+    counts as epoch 0), so the selected model never scores below it; its
+    parameters are read-only. With a `cache`, an equal earlier call's model
+    is returned from it (see the module docstring); without one, the call
+    trains.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
@@ -223,12 +212,14 @@ def train_pair_classifier(
         raise ValidationError(f"training set must contain both classes, got {classes}")
 
     settings = (seed, tuple(hidden), max_epochs, patience, batch, lr)
+    if cache is None:
+        return _fit(X_train, y_train, X_val, y_val, *settings)
     h = hashlib.sha256(repr(settings).encode())
     for a in (X_train, y_train, X_val, y_val):
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a))
     train = functools.partial(_fit, X_train, y_train, X_val, y_val, *settings)
-    return _fits.fit(h.hexdigest(), train, keep)
+    return cache.fit(h.hexdigest(), train)
 
 
 def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
@@ -314,20 +305,23 @@ class F1Matrix:
 
 def cross_domain_matrix(
     domains,
-    pair_data,
+    data,
     variant: str,
     seeds,
+    encoder=None,
+    cache: FitCache | None = None,
     **train_kwargs,
 ) -> F1Matrix:
     """Train/evaluate every ordered domain pair under each seed.
 
-    ``pair_data(S, T)`` must return (X_train, y_train, X_val, y_val,
-    X_test, y_test): source-split training and validation representations
-    and target test representations, already encoded for this variant
-    (identity for the in-domain diagonal). It is called once per ordered
-    pair, and every seed trains on that one result. The identity-encoded
-    fits (every `none` pair and every diagonal) are kept for reuse; the
-    others are asked for once.
+    ``data[(domain, split)]`` holds (a, b, labels): the raw sentence vectors
+    of both sides of a split's pairs and their labels. A pair trains on the
+    source's train and val splits and is scored on the target's test split.
+    A `none` pair and every diagonal use the raw vectors; any other pair
+    encodes them with ``encoder(source, target)``, a function of (n, d) rows
+    that is asked for once per such pair. Every seed trains on the same rows.
+    The identity-encoded fits (every `none` pair and every diagonal) go
+    through `cache` for reuse; the others are asked for once and train.
     """
     domains = tuple(domains)
     seeds = tuple(seeds)
@@ -335,12 +329,16 @@ def cross_domain_matrix(
     per_seed = {seed: np.zeros((d, d)) for seed in seeds}
     for i, source in enumerate(domains):
         for j, target in enumerate(domains):
-            X_tr, y_tr, X_va, y_va, X_te, y_te = pair_data(source, target)
+            identity = variant == "none" or source == target
+            enc = (lambda m: m) if identity else encoder(source, target)
+            (X_tr, y_tr), (X_va, y_va), (X_te, y_te) = (
+                (pair_input(enc(a), enc(b)), y) for a, b, y in
+                (data[(source, "train")], data[(source, "val")], data[(target, "test")]))
             y_te = np.asarray(y_te, dtype=np.int64)
-            keep = variant == "none" or source == target
             for seed in seeds:
                 clf = train_pair_classifier(X_tr, y_tr, X_va, y_va, seed=seed,
-                                            keep=keep, **train_kwargs)
+                                            cache=cache if identity else None,
+                                            **train_kwargs)
                 per_seed[seed][i, j] = f1_score(clf.predict(X_te), y_te)
         log.debug("f1 matrix variant=%s source=%s done", variant, source)
     mean = np.mean([per_seed[s] for s in sorted(per_seed)], axis=0)

@@ -191,8 +191,7 @@ def train_skipgram(
     k independent sets. Each center's terms take its own step of a schedule
     that decays linearly from 0.025 to 0.0001 over all center words.
     """
-    split = "train" if corpus.splits is not None else None
-    token_lists = [tokenize(t) for t in corpus.texts(split)]
+    token_lists = [tokenize(t) for t in corpus.texts(corpus.train_split)]
     return _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed,
                                   domain=corpus.name)
 

@@ -239,17 +239,22 @@ def load_orderings(path) -> dict:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["target", "rank", "source", "score"]:
-            raise ValidationError(f"unexpected ordering header {header}")
-        for row in reader:
+            raise ValidationError(f"{path}: line 1: unexpected ordering header {header}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValidationError(f"{path}: line {line}: {len(row)} fields, expected 4")
             target, rank, source, score = row
-            rows_by_target.setdefault(target, []).append(
-                (int(rank), source, float(score))
-            )
+            try:
+                rows_by_target.setdefault(target, []).append(
+                    (int(rank), source, float(score))
+                )
+            except ValueError as e:
+                raise ValidationError(f"{path}: line {line}: {e}") from None
     orderings = {}
     for target, rows in rows_by_target.items():
         rows.sort()
         if [r for r, _, _ in rows] != list(range(1, len(rows) + 1)):
-            raise ValidationError(f"ranks for {target} are not contiguous from 1")
+            raise ValidationError(f"{path}: ranks for {target} are not contiguous from 1")
         orderings[target] = Ordering(
             target,
             tuple(source for _, source, _ in rows),

@@ -152,8 +152,7 @@ def _train_from_token_lists(token_lists, min_count: int, discount: float) -> Tri
 
 def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:
     """Train on the corpus train split (the whole corpus if unsplit)."""
-    split = "train" if corpus.splits is not None else None
-    texts = corpus.texts(split)
+    texts = corpus.texts(corpus.train_split)
     if not texts:
         raise ValidationError(f"corpus '{corpus.name}': empty training text set")
     lm = _train_from_token_lists([tokenize(t) for t in texts], min_count, discount)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from functools import partial
 
 import numpy as np
@@ -24,9 +23,9 @@ from .adapt import (
 from .config import STAGES, child_seed, config_hash
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
+    FitCache,
     cross_domain_matrix,
     load_f1_matrix,
-    pair_input,
     save_f1_matrix,
     success_labels,
 )
@@ -179,6 +178,18 @@ def _read_table(ws: Workspace, rel: str, domain: str) -> EmbeddingTable:
     return ws.read(rel, partial(EmbeddingTable.load, domain=domain))
 
 
+def _load_array(path) -> np.ndarray:
+    array = np.load(path)
+    array.flags.writeable = False
+    return array
+
+
+def _read_sentences(ws: Workspace, name: str, split: str) -> tuple:
+    """The read-only (a, b) sentence vectors of a domain's split."""
+    return tuple(ws.read(_sentence_path(name, split, side), _load_array)
+                 for side in ("a", "b"))
+
+
 def _embed_jobs(ws: Workspace, cfg: dict) -> list:
     e = cfg["embed"]
     names = domain_names(cfg)
@@ -212,8 +223,11 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
                     raise ValidationError(f"domain {name} has no '{split}' examples")
                 a = np.array([table.sentence_vector(ex.text_a) for ex in examples])
                 b = np.array([table.sentence_vector(ex.text_b) for ex in examples])
-                np.save(ws.path(_sentence_path(name, split, "a")), a)
-                np.save(ws.path(_sentence_path(name, split, "b")), b)
+                for side, vectors in (("a", a), ("b", b)):
+                    rel = _sentence_path(name, split, side)
+                    vectors.flags.writeable = False
+                    np.save(ws.path(rel), vectors)
+                    ws.keep(rel, vectors)
         return build
 
     tables = [(Job([GLOBAL_TABLE], build_global, note="global"), e,
@@ -279,37 +293,25 @@ def _adapt_path(variant: str, s: str, t: str) -> str:
     return f"adapt/{variant}/{s}__{t}.bin"
 
 
+def _adapted_pairs(variant: str, names) -> list:
+    """The ordered pairs with an adapt model: every off-diagonal pair, unless
+    the variant is `none`."""
+    return [] if variant == "none" else [(s, t) for s in names for t in names if s != t]
+
+
 def _train_sentences(*names) -> list:
     return [_sentence_path(n, "train", side) for n in names for side in ("a", "b")]
-
-
-def _load_sentences(ws: Workspace, name: str, split: str):
-    a = np.load(ws.path(_sentence_path(name, split, "a")))
-    b = np.load(ws.path(_sentence_path(name, split, "b")))
-    return a, b
 
 
 def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
     names = domain_names(cfg)
     seed = cfg["adapt"]["seed"]
     settings = {k: cfg["adapt"][k] for k in CONFIG_FIELDS}
-    jobs = []
-    pooled = {}
-
-    def columns(name):
-        """Pooled train sentences of a domain as read-only columns, loaded once.
-
-        Shared by every job of this stage; the adapt stage runs them serially.
-        """
-        if name not in pooled:
-            X = np.concatenate(_load_sentences(ws, name, "train"), axis=0).T
-            X.flags.writeable = False
-            pooled[name] = X
-        return pooled[name]
 
     def make(variant, s, t):
         def build():
-            X_s, X_t = columns(s), columns(t)
+            # Each domain's pooled train sentences, one column per sentence.
+            X_s, X_t = (np.concatenate(_read_sentences(ws, n, "train")).T for n in (s, t))
             adapt_cfg = AdaptConfig(variant, **settings)
             if variant == "sda":
                 model = train_sda(X_s, X_t, adapt_cfg,
@@ -319,18 +321,11 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
             model.save(ws.path(_adapt_path(variant, s, t)))
         return build
 
-    for variant in cfg["adapt"]["variants"]:
-        if variant == "none":
-            continue
-        for s in names:
-            for t in names:
-                if s != t:
-                    jobs.append((
-                        Job([_adapt_path(variant, s, t)], make(variant, s, t),
-                            note=f"{variant}:{s}->{t}"),
-                        dict(settings, variant=variant, seed=seed),
-                        _train_sentences(s, t),
-                    ))
+    jobs = [
+        (Job([_adapt_path(v, s, t)], make(v, s, t), note=f"{v}:{s}->{t}"),
+         dict(settings, variant=v, seed=seed), _train_sentences(s, t))
+        for v in cfg["adapt"]["variants"] for s, t in _adapted_pairs(v, names)
+    ]
     return [jobs] if jobs else []
 
 
@@ -342,44 +337,21 @@ def _downstream_outputs(variant: str, seeds) -> list:
 def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     d = cfg["downstream"]
     names = domain_names(cfg)
-    inputs = {}
-    lock = threading.Lock()
-
-    def load_inputs() -> dict:
-        """Read-only (a, b, labels) per (domain, split), loaded by the first
-        variant job to run and shared by the others, also on the pool."""
-        with lock:
-            if not inputs:
-                corpora = _load_corpora(ws, names)
-                loaded = {}
-                for n in names:
-                    for split in SPLITS:
-                        a, b = _load_sentences(ws, n, split)
-                        y = np.array(corpora[n].labels(split), dtype=np.float64)
-                        for arr in (a, b, y):
-                            arr.flags.writeable = False
-                        loaded[(n, split)] = (a, b, y)
-                inputs.update(loaded)
-            return inputs
+    fits = FitCache()  # the identity-encoded fits, shared by the variant jobs
 
     def make(variant):
         def build():
-            data = load_inputs()
+            corpora = _load_corpora(ws, names)
+            data = {(n, split): (*_read_sentences(ws, n, split),
+                                 np.array(corpora[n].labels(split), dtype=np.float64))
+                    for n in names for split in SPLITS}
 
-            def pair_data(s, t):
-                if variant == "none" or s == t:
-                    enc = lambda m: m
-                else:
-                    model = AdaptModel.load(ws.path(_adapt_path(variant, s, t)))
-                    enc = lambda m: encode(model, m.T).T
-
-                def rows(domain, split):
-                    a, b, y = data[(domain, split)]
-                    return pair_input(enc(a), enc(b)), y
-                return (*rows(s, "train"), *rows(s, "val"), *rows(t, "test"))
+            def encoder(s, t):
+                model = AdaptModel.load(ws.path(_adapt_path(variant, s, t)))
+                return lambda m: encode(model, m.T).T
 
             matrix = cross_domain_matrix(
-                names, pair_data, variant, d["seeds"],
+                names, data, variant, d["seeds"], encoder, fits,
                 hidden=tuple(d["hidden"]), max_epochs=d["max_epochs"],
                 patience=d["patience"], batch=d["batch"], lr=d["lr"],
             )
@@ -391,7 +363,7 @@ def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     files += [_sentence_path(n, s, side) for n in names for s in SPLITS for side in ("a", "b")]
     return [[
         (Job(_downstream_outputs(v, d["seeds"]), make(v), note=v), reads,
-         files + [_adapt_path(v, s, t) for s in names for t in names if v != "none" and s != t])
+         files + [_adapt_path(v, s, t) for s, t in _adapted_pairs(v, names)])
         for v in cfg["adapt"]["variants"]
     ]]
 
@@ -533,10 +505,9 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
 
     def make_pca(s, t):
         def build():
-            a_s, b_s = _load_sentences(ws, s, "train")
-            a_t, b_t = _load_sentences(ws, t, "train")
             pca_export(
-                np.vstack([a_s, b_s]), np.vstack([a_t, b_t]),
+                np.vstack(_read_sentences(ws, s, "train")),
+                np.vstack(_read_sentences(ws, t, "train")),
                 ws.path(_pca_path(s, t)), source_name=s, target_name=t,
             )
         return build

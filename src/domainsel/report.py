@@ -215,8 +215,8 @@ def build_table2(matrices, success) -> TransferReport:
 
     matrices maps variant -> F1Matrix; success maps variant -> the 0/1
     success labels keyed by ordered (source, target) pair. The in-domain
-    column reads the first variant's diagonal; the pipeline keeps that
-    diagonal variant-independent by always scoring self-pairs on raw
+    column reads the first variant's diagonal; `cross_domain_matrix` keeps
+    that diagonal variant-independent by always scoring self-pairs on raw
     representations.
     """
     variants = tuple(sorted(matrices))

@@ -171,8 +171,7 @@ def feature_vector(
     the caller already has them; a matrix of pairs then counts each domain's
     tokens once.
     """
-    split_s = "train" if source.splits is not None else None
-    split_t = "train" if target.splits is not None else None
+    split_s, split_t = source.train_split, target.train_split
     if stats is None:
         stats = unigram_stats(source, split_s), unigram_stats(target, split_t)
     stats_s, stats_t = stats
@@ -214,18 +213,20 @@ def save_feature_matrix(matrix: dict, path) -> None:
 
 def load_feature_matrix(path) -> dict:
     matrix: dict = {}
+    header = ["source", "target", *FEATURE_NAMES]
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != list(("source", "target") + FEATURE_NAMES):
-            raise ValidationError(f"{path}: unexpected feature matrix header")
-        for row in reader:
-            if len(row) != 12:
-                raise ValidationError(f"{path}: row with {len(row)} fields")
-            values = [float(x) for x in row[2:]]
-            matrix[(row[0], row[1])] = FeatureVector(
-                f1=values[0], f2=values[1], f3=int(values[2]), f4=int(values[3]),
-                f5=values[4], f6=values[5], f7=values[6], f8=values[7],
-                f9=values[8], f10=values[9],
-            )
+        if next(reader, None) != header:
+            raise ValidationError(f"{path}: line 1: unexpected feature matrix header")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: line {line}: {len(row)} fields, expected {len(header)}"
+                )
+            try:  # FeatureVector's checks raise ValidationError, a ValueError
+                values = {n: float(x) for n, x in zip(FEATURE_NAMES, row[2:])}
+                values["f3"], values["f4"] = int(values["f3"]), int(values["f4"])
+                matrix[(row[0], row[1])] = FeatureVector(**values)
+            except (ValueError, OverflowError) as e:
+                raise ValidationError(f"{path}: line {line}: {e}") from None
     return matrix

@@ -8,9 +8,11 @@ are logged and rebuilt, never silently reused. Failed jobs delete their
 partial outputs; outputs leave the manifest before their job rebuilds them,
 so a killed build is redone.
 
-Within a run, a job that saves an object can `keep` it, and later jobs
-`read` it without parsing the file again, as long as the file still has the
-bytes it was kept with.
+Within a run, a job that saves an object (a corpus, table, language model
+or sentence array) can `keep` it, and later jobs `read` it without parsing
+the file again, as long as the file still has the bytes it was kept with.
+A file that no job kept is loaded by its first `read`, once, also when pool
+threads ask for it at the same time.
 """
 from __future__ import annotations
 
@@ -60,16 +62,19 @@ class Workspace:
 
     def read(self, rel: str, load):
         """The object saved at `rel`: the kept one while the file still has
-        the bytes it was kept with, else `load(path)`, which is then kept."""
-        digest = file_sha256(self.path(rel))
+        the bytes it was kept with, else `load(path)`, which is then kept.
+
+        Reads hold one lock while they hash and load, so threads asking for
+        one file load it once; `load` must not read the workspace itself.
+        """
         with self._lock:
+            digest = file_sha256(self.path(rel))
             kept = self._kept.get(rel)
-        if digest is not None and kept is not None and kept[0] == digest:
-            return kept[1]
-        obj = load(self.path(rel))
-        with self._lock:
+            if digest is not None and kept is not None and kept[0] == digest:
+                return kept[1]
+            obj = load(self.path(rel))
             self._kept[rel] = (digest, obj)
-        return obj
+            return obj
 
     def load_manifest(self) -> dict:
         path = self.root / MANIFEST_NAME

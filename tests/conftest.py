@@ -2,20 +2,10 @@
 
 File-descriptor capture swallows direct writes from passing tests, so the
 acceptance module records its verdicts and this hook replays them after
-capture ends. Each test also starts with an empty pair-classifier fit
-cache, so that its fits train whichever tests ran before it.
+capture ends.
 """
 
 import sys
-
-import pytest
-
-from domainsel import downstream
-
-
-@pytest.fixture(autouse=True)
-def empty_fit_cache():
-    downstream._fits.clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

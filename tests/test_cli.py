@@ -9,6 +9,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import domainsel
@@ -227,13 +228,15 @@ def test_all_variants_byte_identical_under_threads(tmp_path):
 
 
 def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
-    """At --jobs 1 and 2, each distinct pair classifier trains once, the F1
-    CSVs keep their bytes, and the fit cache keeps no adapted off-diagonal fit."""
+    """At --jobs 1 and 2, each distinct pair classifier trains once and the
+    F1 CSVs keep their bytes. Every identity-encoded call (a `none` pair or a
+    diagonal) goes through the stage's one fit cache, and every adapted
+    off-diagonal call through none."""
     import domainsel.downstream as downstream_mod
     import domainsel.pipeline as pipeline_mod
 
     trainings, calls = [], []
-    pair = threading.local()
+    job = threading.local()
     real_fit = downstream_mod._fit
     real_train = downstream_mod.train_pair_classifier
     real_matrix = pipeline_mod.cross_domain_matrix
@@ -243,15 +246,17 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
         return real_fit(*args)
 
     def recorded_train(*args, **kwargs):
-        clf = real_train(*args, **kwargs)
-        calls.append((pair.current, clf))
-        return clf
+        job.caches.append(kwargs["cache"])
+        return real_train(*args, **kwargs)
 
-    def tagged_matrix(names, pair_data, variant, *args, **kwargs):
-        def tagged(s, t):
-            pair.current = (variant, s, t)
-            return pair_data(s, t)
-        return real_matrix(names, tagged, variant, *args, **kwargs)
+    def tagged_matrix(names, data, variant, seeds, *args, **kwargs):
+        # A variant job makes its calls on one thread, pair by pair, seed by seed.
+        job.caches = []
+        matrix = real_matrix(names, data, variant, seeds, *args, **kwargs)
+        pairs = [(s, t) for s in names for t in names for _ in seeds]
+        assert len(job.caches) == len(pairs)
+        calls.extend((variant, s, t, c) for (s, t), c in zip(pairs, job.caches))
+        return matrix
 
     monkeypatch.setattr(downstream_mod, "_fit", counted_fit)
     monkeypatch.setattr(downstream_mod, "train_pair_classifier", recorded_train)
@@ -261,9 +266,8 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
     d = VARIANTS_CONFIG["data"]["synth"]["domains"]
     s = len(VARIANTS_CONFIG["downstream"]["seeds"])
     v = len(VARIANTS_CONFIG["adapt"]["variants"])
-    f1 = {}
+    f1, caches = {}, {}
     for jobs in ("1", "2"):
-        downstream_mod._fits.clear()
         trainings.clear()
         calls.clear()
         ws = tmp_path / f"ws{jobs}"
@@ -272,42 +276,83 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
         assert rc == 0
         assert len(calls) == d * d * s * v
         assert len(trainings) == d * s + (v - 1) * d * (d - 1) * s
-        kept = list(downstream_mod._fits._models.values())
-        plain = [clf for (variant, _, _), clf in calls if variant == "none"]
-        adapted = [clf for (variant, src, tgt), clf in calls
-                   if variant != "none" and src != tgt]
-        assert len(kept) == d * s
-        assert all(any(k is clf for clf in plain) for k in kept)
-        assert not any(k is clf for k in kept for clf in adapted)
+        stage = {id(c): c for *_, c in calls if c is not None}
+        assert len(stage) == 1
+        (caches[jobs],) = stage.values()
+        assert isinstance(caches[jobs], downstream_mod.FitCache)
+        for variant, src, tgt, cache in calls:
+            identity = variant == "none" or src == tgt
+            assert cache is (caches[jobs] if identity else None)
         f1[jobs] = {p.name: p.read_bytes() for p in sorted((ws / "downstream").glob("*.csv"))}
+    assert caches["2"] is not caches["1"]  # one cache per downstream stage
     assert len(f1["1"]) == v * (s + 1)
     assert f1["2"] == f1["1"]
 
 
-def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
-    """Adapt jobs share one read-only column block per domain."""
+def _count_sentence_loads(monkeypatch):
+    """Record each sentence file np.load reads, and the writeable flag of
+    every array downstream hands to cross_domain_matrix."""
     import domainsel.pipeline as pipeline_mod
 
-    loads, seen = [], []
-    real_load = pipeline_mod._load_sentences
-    real_stack = pipeline_mod.stack_marginalized
+    loads, writeable = [], []
+    real_load, real_matrix = np.load, pipeline_mod.cross_domain_matrix
 
-    def counted_load(ws, name, split):
-        loads.append((name, split))
-        return real_load(ws, name, split)
+    def counted_load(path, *args, **kwargs):
+        if Path(path).parent.name == "sentences":
+            loads.append(Path(path).name)
+        return real_load(path, *args, **kwargs)
 
-    def checked_stack(X_s, X_t, cfg):
-        seen.append(not X_s.flags.writeable and not X_t.flags.writeable)
-        return real_stack(X_s, X_t, cfg)
+    def checked_matrix(names, data, *args, **kwargs):
+        writeable.extend(x.flags.writeable for a, b, _ in data.values() for x in (a, b))
+        return real_matrix(names, data, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "_load_sentences", counted_load)
-    monkeypatch.setattr(pipeline_mod, "stack_marginalized", checked_stack)
+    monkeypatch.setattr(np, "load", counted_load)
+    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", checked_matrix)
+    return loads, writeable
+
+
+def _run(command, ws, tmp_path, jobs="1"):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
-    rc = main(["adapt", "--workspace", str(tmp_path / "ws"), "--config", str(cfg_path)])
-    assert rc == 0
-    assert sorted(loads) == [(f"syn0{i}", "train") for i in range(3)]
-    assert seen == [True] * 12  # msda and msdar, 6 ordered pairs each
+    assert main([command, "--workspace", str(ws), "--config", str(cfg_path),
+                 "--jobs", jobs]) == 0
+
+
+def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
+    """Sentence arrays reach adapt and downstream through the workspace
+    hand-off: a cold build loads none of them from disk, and the arrays
+    downstream is handed are read-only."""
+    import domainsel.pipeline as pipeline_mod
+
+    loads, writeable = _count_sentence_loads(monkeypatch)
+    stacked = []
+    real_stack = pipeline_mod.stack_marginalized
+
+    def counted_stack(X_s, X_t, cfg):
+        stacked.append(1)
+        return real_stack(X_s, X_t, cfg)
+
+    monkeypatch.setattr(pipeline_mod, "stack_marginalized", counted_stack)
+    _run("adapt", tmp_path / "ws", tmp_path)
+    assert loads == []
+    assert len(stacked) == 12  # msda and msdar, 6 ordered pairs each
+    _run("downstream", tmp_path / "cold", tmp_path)
+    assert loads == []
+    assert writeable and not any(writeable)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
+    """Downstream over a workspace built through adapt loads each sentence
+    file once, also on the pool, and hands out read-only arrays."""
+    built = tmp_path / "built"
+    _run("adapt", built, tmp_path)
+    files = sorted(p.name for p in (built / "sentences").glob("*.npy"))
+    assert len(files) == 18  # 3 domains x 3 splits x 2 sides
+    loads, writeable = _count_sentence_loads(monkeypatch)
+    _run("downstream", built, tmp_path, jobs)
+    assert sorted(loads) == files
+    assert writeable and not any(writeable)
 
 
 def readme_quick_start() -> str:
@@ -436,44 +481,6 @@ def test_embed_reads_global_table_once(tmp_path, monkeypatch):
     assert writeable and not any(writeable)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
-    """Downstream's variant jobs share one read-only load of their inputs."""
-    import domainsel.pipeline as pipeline_mod
-
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
-    ws = str(tmp_path / "ws")
-    assert main(["adapt", "--workspace", ws, "--config", str(cfg_path)]) == 0
-    calls, writeable = [], []
-    real_load, real_corpora = pipeline_mod._load_sentences, pipeline_mod._load_corpora
-    real_matrix = pipeline_mod.cross_domain_matrix
-
-    def counted_load(*args):
-        calls.append("sentences")
-        return real_load(*args)
-
-    def counted_corpora(*args):
-        calls.append("corpora")
-        return real_corpora(*args)
-
-    def checked_matrix(names, pair_data, *args, **kwargs):
-        def checked(s, t):
-            data = pair_data(s, t)
-            writeable.extend(y.flags.writeable for y in data[1::2])  # shared labels
-            return data
-        return real_matrix(names, checked, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline_mod, "_load_sentences", counted_load)
-    monkeypatch.setattr(pipeline_mod, "_load_corpora", counted_corpora)
-    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", checked_matrix)
-    rc = main(["downstream", "--workspace", ws, "--config", str(cfg_path),
-               "--jobs", jobs])
-    assert rc == 0
-    assert sorted(calls) == ["corpora"] + ["sentences"] * 9  # 3 domains x 3 splits
-    assert writeable and not any(writeable)
-
-
 def test_features_count_each_domain_once(tmp_path, monkeypatch):
     """The features job takes each domain's unigram stats once and hands
     feature_vector read-only tables, trained in this run or loaded."""
@@ -597,6 +604,37 @@ class TestErrors:
         rc = main(["meta", "--workspace", str(ws), "--config", str(world[1])])
         assert rc == 2
         assert "stage 'meta', artifact 'predictor:none'" in capsys.readouterr().err
+
+    @staticmethod
+    def damage(path, line, field, value):
+        """Rewrite one CSV field of `path` (1-based line, 0-based field)."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[line - 1].rstrip("\r\n").split(",")
+        fields[field] = value
+        lines[line - 1] = ",".join(fields) + "\r\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_bad_feature_value_names_file_and_line(self, world, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(world[0], ws)
+        path = ws / "features" / "features.csv"
+        self.damage(path, 4, 5, "abc")
+        capsys.readouterr()
+        assert main(["meta", "--workspace", str(ws), "--config", str(world[1])]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: line 4: could not convert string to float: 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_bad_ordering_rank_names_file_and_line(self, world, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        shutil.copytree(world[0], ws)
+        path = ws / "meta" / "ranker_none_orderings.csv"
+        self.damage(path, 3, 1, "x")
+        capsys.readouterr()
+        assert main(["report", "--workspace", str(ws), "--config", str(world[1])]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'report', artifact 'table1:ranker'" in err
+        assert f"{path}: line 3: invalid literal for int() with base 10: 'x'" in err
 
     def test_truncated_adapt_model_fails_downstream(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -10,6 +10,7 @@ import domainsel.downstream as downstream_mod
 from domainsel.downstream import (
     FIT_CACHE_BYTES,
     F1Matrix,
+    FitCache,
     cross_domain_matrix,
     f1_score,
     load_f1_matrix,
@@ -138,20 +139,25 @@ class TestTrainPairClassifier:
             clf.predict(np.ones((5, 3)))
 
 
-def toy_matrix(domains=("A", "B"), seeds=(0, 1), noise=0.0):
-    rng = np.random.default_rng(99)
+def domain_data(domains, sizes=(60, 20, 30)):
+    """data[(domain, split)] = (a, b, labels): a separable `a` whose class
+    boundary each domain shifts by its index, and an all-zero `b`."""
+    data = {}
+    for i, domain in enumerate(domains):
+        for k, (split, n) in enumerate(zip(("train", "val", "test"), sizes)):
+            X, y = separable_set(n, seed=10 * i + k, margin=1.2)
+            X[:, 0] += 0.5 * i
+            data[(domain, split)] = (X, np.zeros_like(X), y)
+    return data
 
-    def pair_data(s, t):
-        sep = 1.2 if s == t else 0.6
-        Xtr, ytr = separable_set(60, seed=hash((s, t)) % 1000, margin=sep)
-        Xv, yv = separable_set(20, seed=hash((t, s)) % 1000, margin=sep)
-        Xte, yte = separable_set(30, seed=(hash((s, t)) + 7) % 1000, margin=sep)
-        if noise:
-            Xte = Xte + rng.normal(scale=noise, size=Xte.shape)
-        return Xtr, ytr, Xv, yv, Xte, yte
 
-    return cross_domain_matrix(domains, pair_data, "DT", seeds, hidden=(8, 4),
-                               max_epochs=10)
+def halving(source, target):
+    return lambda m: 0.5 * m
+
+
+def toy_matrix(domains=("A", "B"), seeds=(0, 1)):
+    return cross_domain_matrix(domains, domain_data(domains), "DT", seeds, halving,
+                               hidden=(8, 4), max_epochs=10)
 
 
 class TestCrossDomainMatrix:
@@ -166,17 +172,43 @@ class TestCrossDomainMatrix:
         assert np.all(m.mean >= 0) and np.all(m.mean <= 1)
         assert m.mean[0, 0] > 0 and m.mean[1, 1] > 0
 
-    def test_pair_data_called_once_per_ordered_pair(self):
-        calls = []
+    def test_encoder_called_once_per_adapted_off_diagonal_pair(self, monkeypatch):
+        """An adapted off-diagonal pair trains on its encoded rows without a
+        cache; a `none` pair and every diagonal train on the raw rows through
+        the cache and never call the encoder."""
+        encoded, trained = [], []
+        real = downstream_mod.train_pair_classifier
 
-        def pair_data(s, t):
-            calls.append((s, t))
-            X, y = separable_set(20, seed=len(calls))
-            return X, y, X, y, X, y
+        def encoder(s, t):
+            encoded.append((s, t))
+            return lambda m: 2.0 * m
 
-        cross_domain_matrix(("A", "B", "C"), pair_data, "DT", (0, 1, 2), hidden=(4, 4),
-                            max_epochs=1)
-        assert sorted(calls) == [(s, t) for s in "ABC" for t in "ABC"]
+        def recorded(X, y, Xv, yv, **kwargs):
+            trained.append((X, kwargs["cache"]))
+            return real(X, y, Xv, yv, **kwargs)
+
+        monkeypatch.setattr(downstream_mod, "train_pair_classifier", recorded)
+        data = domain_data("ABC", sizes=(20, 20, 20))
+        cache = FitCache()
+        seeds = (0, 1, 2)
+        for variant in ("DT", "none"):
+            encoded.clear()
+            trained.clear()
+            cross_domain_matrix("ABC", data, variant, seeds, encoder, cache,
+                                hidden=(4, 4), max_epochs=1)
+            adapted = [] if variant == "none" else [(s, t) for s in "ABC" for t in "ABC"
+                                                    if s != t]
+            assert encoded == adapted
+            pairs = [(s, t) for s in "ABC" for t in "ABC" for _ in seeds]
+            assert len(trained) == len(pairs)
+            for (s, t), (X, used) in zip(pairs, trained):
+                a, b, _ = data[(s, "train")]
+                if (s, t) in adapted:
+                    assert used is None
+                    np.testing.assert_array_equal(X, pair_input(2.0 * a, 2.0 * b))
+                else:
+                    assert used is cache
+                    np.testing.assert_array_equal(X, pair_input(a, b))
 
     def test_entry_accessor(self):
         m = toy_matrix()
@@ -287,7 +319,8 @@ def param_bytes(clf) -> bytes:
 
 
 class TestFitCache:
-    """An equal call returns the kept fit; any change to the inputs trains."""
+    """An equal call through a cache returns the kept fit; any change to the
+    inputs trains, and so does every call without a cache."""
 
     @pytest.fixture
     def trainings(self, monkeypatch):
@@ -303,12 +336,12 @@ class TestFitCache:
         return count
 
     def test_equal_call_trains_nothing_and_matches_a_fresh_fit(self, trainings):
-        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
-        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        cache = FitCache()
+        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
+        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         assert len(trainings) == 1
         assert again is first
-        downstream_mod._fits.clear()
-        fresh = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        fresh = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=FitCache())
         assert len(trainings) == 2
         assert fresh is not first
         assert param_bytes(fresh) == param_bytes(first)
@@ -318,7 +351,8 @@ class TestFitCache:
         "seed", "lr", "hidden", "batch", "max_epochs", "patience",
     ])
     def test_any_change_misses(self, trainings, change):
-        train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        cache = FitCache()
+        train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         inputs, settings = fit_inputs(), dict(FIT_SETTINGS)
         X, y, Xv, yv = inputs
         if change == "x_element":
@@ -337,11 +371,11 @@ class TestFitCache:
         else:
             settings[change] = {"seed": 5, "lr": 0.02, "hidden": (8, 5), "batch": 9,
                                 "max_epochs": 7, "patience": 4}[change]
-        train_pair_classifier(*inputs, **settings)
+        train_pair_classifier(*inputs, **settings, cache=cache)
         assert len(trainings) == 2
 
     def test_kept_parameters_are_read_only(self):
-        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=FitCache())
         for p in clf.params:
             assert not p.flags.writeable
             with pytest.raises(ValueError):
@@ -350,10 +384,11 @@ class TestFitCache:
     def test_byte_bound_holds_after_many_wide_fits(self, trainings):
         rng = np.random.default_rng(0)
         y = np.tile([0.0, 1.0], 5)
+        cache = FitCache()
 
         def fit(X, seed):
             return train_pair_classifier(X, y, X, y, seed=seed, hidden=(128, 32),
-                                         max_epochs=0)
+                                         max_epochs=0, cache=cache)
 
         first = rng.normal(size=(10, 384))
         size = sum(p.nbytes for p in fit(first, 0).params)
@@ -363,9 +398,9 @@ class TestFitCache:
         for i in range(1, fits):
             X = rng.normal(size=(10, 384))
             fit(X, i)
-            assert downstream_mod._fits.nbytes <= FIT_CACHE_BYTES
-        assert len(downstream_mod._fits) == held
-        assert downstream_mod._fits.nbytes == held * size
+            assert cache.nbytes <= FIT_CACHE_BYTES
+        assert len(cache._models) == held
+        assert cache.nbytes == held * size
         assert len(trainings) == fits
         # The most recent fit is kept, the oldest is not.
         fit(X, fits - 1)
@@ -381,34 +416,39 @@ class TestFitCache:
         assert 6 * 3 * size <= FIT_CACHE_BYTES
 
     def test_unkept_fit_trains_again(self, trainings):
-        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False)
-        assert len(downstream_mod._fits) == 0
+        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
         assert not any(p.flags.writeable for p in first.params)
-        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        cache = FitCache()
+        again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         assert len(trainings) == 2
         assert param_bytes(again) == param_bytes(first)
-        # An unkept call still returns a kept fit.
-        assert train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False) is again
-        assert len(trainings) == 2
+        # A call without the cache trains, even while the cache holds its fit.
+        third = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        assert len(trainings) == 3
+        assert third is not again and param_bytes(third) == param_bytes(first)
+        assert train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache) is again
+        assert len(trainings) == 3
 
     def test_equal_calls_on_two_threads_return_equal_models(self, trainings):
+        cache = FitCache()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(train_pair_classifier, *fit_inputs(), **FIT_SETTINGS)
+                futures = [pool.submit(train_pair_classifier, *fit_inputs(), **FIT_SETTINGS,
+                                       cache=cache)
                            for _ in range(4)]
                 models = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert all(m is models[0] for m in models)
         assert len(trainings) == 1
-        assert len(downstream_mod._fits) == 1
+        assert len(cache._models) == 1
 
     @pytest.mark.parametrize("outcome", ["model", "error"])
     def test_equal_call_waits_for_the_fit_in_progress(self, monkeypatch, outcome):
         """A second equal call, made while the first trains, gets the first
-        call's model (or error) without training, also with keep=False."""
+        call's model (or error) without training; only a model is kept."""
         started, release, waiting = (threading.Event() for _ in range(3))
         trained = []
         real = downstream_mod._fit
@@ -428,10 +468,11 @@ class TestFitCache:
 
         monkeypatch.setattr(downstream_mod, "_fit", blocked)
         monkeypatch.setattr(downstream_mod, "Future", Watched)
+        cache = FitCache()
 
         def call():
             try:
-                return train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, keep=False)
+                return train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
             except ValidationError as e:
                 return e
 
@@ -447,8 +488,8 @@ class TestFitCache:
         assert trained == [1]
         assert results[0] is results[1]
         assert isinstance(results[0], ValidationError) == (outcome == "error")
-        assert len(downstream_mod._fits) == 0
-        assert not downstream_mod._fits._training
+        assert len(cache._models) == (outcome == "model")
+        assert not cache._training
 
     def test_target_independent_matrix_trains_each_source_seed_once(
             self, trainings, monkeypatch):
@@ -460,14 +501,7 @@ class TestFitCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(downstream_mod, "train_pair_classifier", counted)
-        sets = {d: (separable_set(30, seed=i), separable_set(12, seed=10 + i))
-                for i, d in enumerate("ABC")}
-
-        def pair_data(s, t):
-            (X, y), (Xv, yv) = sets[s]
-            Xte, yte = sets[t][1]
-            return X, y, Xv, yv, Xte, yte
-
-        cross_domain_matrix("ABC", pair_data, "none", (0, 1), hidden=(4, 4), max_epochs=2)
+        cross_domain_matrix("ABC", domain_data("ABC", sizes=(30, 12, 12)), "none", (0, 1),
+                            cache=FitCache(), hidden=(4, 4), max_epochs=2)
         assert len(calls) == 18
         assert len(trainings) == 6

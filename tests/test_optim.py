@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-import domainsel.downstream as downstream_mod
 from domainsel.adapt import AdaptConfig, _dae_loss, train_sda
 from domainsel.downstream import (
     PairClassifier,
@@ -249,9 +248,8 @@ def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4), lr=0.01):
 class TestInitialStateCache:
     """Fits restore a cached initial draw; no call history may show in the bits."""
 
-    def test_fit_independent_of_call_history(self, monkeypatch):
-        # Keep no fit, so that every call below trains.
-        monkeypatch.setattr(downstream_mod, "FIT_CACHE_BYTES", 0)
+    def test_fit_independent_of_call_history(self):
+        # Every call below passes no fit cache, so every call trains.
         X, y = classification_set(40, 6, 0)
         Xv, yv = classification_set(20, 6, 100)
 
@@ -269,8 +267,7 @@ class TestInitialStateCache:
         fit_bytes(X, y, Xv, yv, 3, hidden=(5, 3))  # other hidden widths
         assert fit_bytes(X, y, Xv, yv, 3) == want  # warm
 
-        # Four fits that share one initial draw but not a fit key (an equal
-        # call would wait for the first instead of training), two at a time.
+        # Four fits that share one initial draw, two at a time.
         lrs = (0.01, 0.02, 0.03, 0.04)
         wants = [reference(lr) for lr in lrs]
         _initial_state.cache_clear()
@@ -283,7 +280,6 @@ class TestInitialStateCache:
         finally:
             sys.setswitchinterval(interval)
         assert results == wants
-        assert len(downstream_mod._fits) == 0
 
     def test_cached_arrays_read_only(self):
         init, state = _initial_state(7, 5, 4, 3)

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -225,3 +227,26 @@ class TestHandOff:
         assert loads == ["a.txt"]
         assert Workspace(tmp_path).read("a.txt", self.loader(loads)) == first
         assert loads == ["a.txt", "a.txt"]  # each workspace object keeps its own
+
+    def test_concurrent_reads_load_each_file_once(self, tmp_path):
+        ws = Workspace(tmp_path)
+        names = ["a.txt", "b.txt"]
+        for name in names:
+            ws.path(name).write_text(name)
+        loads = []
+        load = self.loader(loads)
+
+        def slow_load(path):
+            time.sleep(0.05)  # other threads ask for the file while it loads
+            return load(path)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(ws.read, names[i % 2], slow_load) for i in range(16)]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(loads) == names
+        assert all(r is results[i % 2] for i, r in enumerate(results))
