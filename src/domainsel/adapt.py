@@ -337,7 +337,7 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
         b2 = np.zeros(dk)
         opt = Adam([w1, b1, w2, b2], lr=cfg.sda_lr)
         w1, b1, w2, b2 = opt.params  # views that opt.step updates in place
-        g_w1, g_b1, g_w2, g_b2 = opt.grads  # views that opt.step reads
+        g_w1, g_b1, g_w2, g_b2 = opt.grads  # views that opt.step consumes
         curve = [_dae_loss(w1, b1, w2, b2, H, H)]
         for _epoch in range(cfg.sda_epochs):
             order = rng.permutation(n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
 from .errors import ValidationError
 
@@ -89,6 +90,23 @@ DEFAULT_CONFIG = {
 
 _SOURCE_KEYS = {"name", "path", "format", "binarize_threshold"}
 
+# Integer settings and the least value each may take.
+_LEAST = {
+    "embed.dim": 1,
+    "adapt.sda_batch": 1,
+    "downstream.batch": 1,
+    "downstream.max_epochs": 0,
+    "downstream.patience": 1,
+}
+
+# Step sizes: a zero one trains nothing, a negative one climbs the loss.
+_STEP_SIZES = ("adapt.sda_lr", "downstream.lr")
+
+
+def _value(cfg: dict, key: str):
+    section, name = key.split(".")
+    return cfg[section][name]
+
 
 def _type_ok(value, default) -> bool:
     if default is None:
@@ -166,17 +184,26 @@ def _check_semantics(cfg: dict) -> None:
             raise ValidationError(
                 f"config key 'meta.modes' contains unknown mode {mode!r}"
             )
-    if not cfg["downstream"]["seeds"]:
+    seeds = cfg["downstream"]["seeds"]
+    if not seeds:
         raise ValidationError("config key 'downstream.seeds' must not be empty")
+    if not all(_type_ok(s, 0) and s >= 0 for s in seeds):
+        raise ValidationError(
+            "config key 'downstream.seeds' must list non-negative integers"
+        )
+    if len(set(seeds)) != len(seeds):
+        raise ValidationError("config key 'downstream.seeds' has duplicates")
     hidden = cfg["downstream"]["hidden"]
     if len(hidden) != 2 or not all(_type_ok(w, 1) and w >= 1 for w in hidden):
         raise ValidationError(
             "config key 'downstream.hidden' must list two integer widths >= 1"
         )
-    for key in ("downstream.batch", "adapt.sda_batch"):
-        section, name = key.split(".")
-        if cfg[section][name] < 1:
-            raise ValidationError(f"config key '{key}' must be >= 1")
+    for key, least in _LEAST.items():
+        if _value(cfg, key) < least:
+            raise ValidationError(f"config key '{key}' must be >= {least}")
+    for key in _STEP_SIZES:
+        if not 0 < _value(cfg, key) < math.inf:
+            raise ValidationError(f"config key '{key}' must be a finite number > 0")
     for pair in cfg["report"]["pca_pairs"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(

@@ -42,8 +42,8 @@ log = logging.getLogger(__name__)
 DEFAULT_HIDDEN = (128, 32)
 DEFAULT_SUCCESS_THRESHOLD = 0.8
 # Parameter bytes of the fits kept for reuse. The bound is in bytes, not
-# models: a 64-wide model with the default hidden widths holds 100 KB, so the
-# bound keeps the 18 plain (source, seed) fits of the default world.
+# models: a 64-wide float32 model with the default hidden widths holds 50 KB,
+# so the bound keeps the 18 plain (source, seed) fits of the default world.
 FIT_CACHE_BYTES = 4 << 20
 
 
@@ -89,7 +89,11 @@ def _forward(params, X: np.ndarray):
 
 
 class PairClassifier:
-    """Dense 3-layer net: two tanh hidden layers, sigmoid output."""
+    """Dense 3-layer net: two tanh hidden layers, sigmoid output.
+
+    Rows are cast to the parameters' dtype (float32 for a trained model), so
+    scoring runs the forward pass that validation ran during training.
+    """
 
     def __init__(self, params: list[np.ndarray], input_dim: int, seed: int):
         self.params = params  # [w1, b1, w2, b2, w3, b3]
@@ -97,7 +101,7 @@ class PairClassifier:
         self.seed = seed
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=self.params[0].dtype)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValidationError(
                 f"classifier expects (n, {self.input_dim}) inputs, got {X.shape}"
@@ -110,14 +114,17 @@ class PairClassifier:
 
 @functools.lru_cache(maxsize=8)
 def _initial_state(seed: int, d: int, h1: int, h2: int):
-    """Initial weights of a (d, h1, h2) classifier and the generator state after them.
+    """Initial float32 weights of a (d, h1, h2) classifier and the generator
+    state after them.
 
-    Every fit with the same key starts from the same draw, so it is made
-    once. The arrays are read-only (Adam copies them); restore the state
-    into a fresh generator, never mutate it.
+    The weights are drawn in float64 and rounded, so the generator stream
+    does not depend on the training precision. Every fit with the same key
+    starts from the same draw, so it is made once. The arrays are read-only
+    (Adam copies them); restore the state into a fresh generator, never
+    mutate it.
     """
     rng = np.random.default_rng(seed)
-    init = (
+    draws = (
         rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)),
         np.zeros(h1),
         rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)),
@@ -125,6 +132,7 @@ def _initial_state(seed: int, d: int, h1: int, h2: int):
         rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)),
         np.zeros(1),
     )
+    init = tuple(a.astype(np.float32) for a in draws)
     for a in init:
         a.flags.writeable = False
     return init, rng.bit_generator.state
@@ -189,11 +197,13 @@ def train_pair_classifier(
 ) -> PairClassifier:
     """Binary cross-entropy training with early stopping on validation F1.
 
+    Trains in float32: the inputs are rounded to float32 once, after the
+    checks, and the parameters, gradients and Adam moments are float32.
     Keeps the parameters of the best validation epoch (the untrained state
     counts as epoch 0), so the selected model never scores below it; its
     parameters are read-only. With a `cache`, an equal earlier call's model
-    is returned from it (see the module docstring); without one, the call
-    trains.
+    is returned from it, keyed by the float32 inputs (see the module
+    docstring); without one, the call trains.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
@@ -211,6 +221,8 @@ def train_pair_classifier(
     if classes != {0.0, 1.0}:
         raise ValidationError(f"training set must contain both classes, got {classes}")
 
+    X_train, y_train, X_val, y_val = (
+        a.astype(np.float32) for a in (X_train, y_train, X_val, y_val))
     settings = (seed, tuple(hidden), max_epochs, patience, batch, lr)
     if cache is None:
         return _fit(X_train, y_train, X_val, y_val, *settings)
@@ -223,8 +235,13 @@ def train_pair_classifier(
 
 
 def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
-    """The training loop of `train_pair_classifier`, on checked float64
-    inputs; the returned parameters are read-only."""
+    """The training loop of `train_pair_classifier`, on checked float32
+    inputs; the returned parameters are float32 and read-only.
+
+    Every scalar in the loop is a Python number, which leaves a float32
+    array float32 under both NumPy 1 value-based casting and NumPy 2 (NEP 50)
+    promotion; a float64 NumPy scalar would promote it under NumPy 2.
+    """
     n, d = X_train.shape
     init, state = _initial_state(seed, d, *hidden)
     rng = np.random.default_rng(seed)
@@ -232,7 +249,7 @@ def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, bat
     opt = Adam(init, lr=lr)
     params = opt.params  # views that opt.step updates in place
     w2, w3 = params[2], params[4]
-    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = opt.grads  # views that opt.step reads
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = opt.grads  # views that opt.step consumes
     y_val = y_val.astype(np.int64)
     positive, negative = y_val == 1, y_val == 0
 

@@ -539,18 +539,18 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
     return [jobs]
 
 
-# Stages whose jobs run on the `--jobs` thread pool. Threads pay only where
-# a job spends its time in numpy calls long enough to run without the GIL:
-# the downstream MLP sweeps (one job per variant). Every other stage is
+# Stages whose jobs run on the `--jobs` thread pool. Threads can pay only
+# where a job spends its time in numpy calls long enough to run without the
+# GIL: the downstream MLP sweeps (one job per variant). Every other stage is
 # Python loops or many tiny numpy calls, where two threads mostly hand the
 # GIL back and forth. Measured on a 2-vCPU host, BLAS on one thread, default
-# world with all four variants and 5 MLP and sda epochs, downstream stage
-# alone on a workspace built through adapt: at 30 examples per domain it
-# took 1.00 s on 2 threads against 1.20 s serial (1.39 s of CPU against
-# 1.16 s, medians of 6); at 100 examples, 2.28 s against 2.77 s; at 300,
-# 5.08 s against 6.78 s (8.28 s of CPU against 6.76 s; medians of 3).
-# With adapt on 2 threads, traced train_sda time was 1.46 s against 0.24 s
-# serial.
+# world with all four variants and 5 MLP and sda epochs, float32 fits,
+# downstream stage alone on a workspace built through adapt: at 30 examples
+# per domain it took 0.78 s on 2 threads against 0.63 s serial (1.03 s of
+# CPU against 0.63 s, medians of 6); at 100 examples, 1.47 s against 1.35 s;
+# at 300, 3.10 s against 3.14 s (4.71 s of CPU against 3.14 s; medians of
+# 4). With adapt on 2 threads, traced train_sda time was 1.46 s against
+# 0.24 s serial.
 POOLED_STAGES = ("downstream",)
 
 # Each builder returns its stage's phases, run in order: lists of (job, the

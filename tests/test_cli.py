@@ -580,6 +580,25 @@ class TestErrors:
         assert rc == 1
         assert "data.mode 'ingest'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, key", [
+        ({"downstream": {"seeds": [-1]}}, "downstream.seeds"),
+        ({"downstream": {"seeds": [0, 0]}}, "downstream.seeds"),
+        ({"downstream": {"lr": -0.1}}, "downstream.lr"),
+        ({"downstream": {"max_epochs": -1}}, "downstream.max_epochs"),
+        ({"downstream": {"patience": 0}}, "downstream.patience"),
+        ({"adapt": {"sda_lr": 0}}, "adapt.sda_lr"),
+        ({"embed": {"dim": 0}}, "embed.dim"),
+    ], ids=["negative_seed", "repeated_seed", "negative_lr", "negative_epochs",
+            "zero_patience", "zero_sda_lr", "zero_dim"])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, edit, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(merged(tiny_world(2), edit)))
+        ws = tmp_path / "ws"
+        rc = main(["downstream", "--workspace", str(ws), "--config", str(cfg)])
+        assert rc == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not ws.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         ws = tmp_path / "ws"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import domainsel.downstream as downstream_mod
+from domainsel.config import DEFAULT_CONFIG
 from domainsel.downstream import (
     FIT_CACHE_BYTES,
     F1Matrix,
@@ -356,7 +357,8 @@ class TestFitCache:
         inputs, settings = fit_inputs(), dict(FIT_SETTINGS)
         X, y, Xv, yv = inputs
         if change == "x_element":
-            X[7, 1] = np.nextafter(X[7, 1], np.inf)
+            # One float32 step: the smallest change that the fit sees.
+            X[7, 1] = np.nextafter(np.float32(X[7, 1]), np.float32(np.inf))
         elif change == "x_val_element":
             Xv[3, 0] += 1.0
         elif change == "label":
@@ -374,12 +376,31 @@ class TestFitCache:
         train_pair_classifier(*inputs, **settings, cache=cache)
         assert len(trainings) == 2
 
+    def test_change_rounded_away_in_float32_hits(self, trainings):
+        # The key hashes the float32 inputs that the fit trains on.
+        cache = FitCache()
+        first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
+        X, y, Xv, yv = fit_inputs()
+        X[7, 1] = np.nextafter(X[7, 1], np.inf)
+        assert X[7, 1] != fit_inputs()[0][7, 1]
+        assert train_pair_classifier(X, y, Xv, yv, **FIT_SETTINGS, cache=cache) is first
+        assert len(trainings) == 1
+
     def test_kept_parameters_are_read_only(self):
         clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=FitCache())
         for p in clf.params:
+            assert p.dtype == np.float32
             assert not p.flags.writeable
             with pytest.raises(ValueError):
                 p[...] = 0.0
+
+    def test_scoring_rounds_rows_to_the_parameters_dtype(self):
+        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
+        X = separable_set(30, seed=23)[0]
+        assert X.dtype == np.float64
+        got = clf.predict_proba(X)
+        assert got.dtype == np.float32
+        assert got.tobytes() == clf.predict_proba(X.astype(np.float32)).tobytes()
 
     def test_byte_bound_holds_after_many_wide_fits(self, trainings):
         rng = np.random.default_rng(0)
@@ -409,11 +430,16 @@ class TestFitCache:
         assert len(trainings) == fits + 1
 
     def test_bound_holds_the_plain_fits_of_the_default_world(self):
-        # 6 domains x 3 seeds, 16-wide sentence vectors (64-wide pair
-        # inputs), the default hidden widths.
-        d, (h1, h2) = 64, downstream_mod.DEFAULT_HIDDEN
-        size = 8 * (h1 * d + h1 + h2 * h1 + h2 + h2 + 1)
-        assert 6 * 3 * size <= FIT_CACHE_BYTES
+        # One plain fit per (domain, seed), on pair inputs four sentence
+        # vectors wide.
+        cfg = DEFAULT_CONFIG
+        X = np.random.default_rng(0).normal(size=(10, 4 * cfg["embed"]["dim"]))
+        y = np.tile([0.0, 1.0], 5)
+        clf = train_pair_classifier(X, y, X, y, seed=0, max_epochs=0,
+                                    hidden=tuple(cfg["downstream"]["hidden"]))
+        size = sum(p.nbytes for p in clf.params)
+        plain = cfg["data"]["synth"]["domains"] * len(cfg["downstream"]["seeds"])
+        assert plain * size <= FIT_CACHE_BYTES
 
     def test_unkept_fit_trains_again(self, trainings):
         first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)

@@ -2,6 +2,8 @@
 
 The reference classes and loops below are copies of the code before Adam
 kept its parameters in one buffer; the tests require bit-equal results.
+The pair-classifier reference trains in float32, as the classifier does:
+its draws are made in float64 and rounded, and its inputs are rounded once.
 """
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,16 +52,18 @@ class ReferenceAdam:
 
 def reference_train_pair_classifier(X_train, y_train, X_val, y_val, seed,
                                     hidden, max_epochs, patience, batch, lr):
+    X_train, y_train, X_val, y_val = (np.asarray(a, dtype=np.float64).astype(np.float32)
+                                      for a in (X_train, y_train, X_val, y_val))
     n, d = X_train.shape
     h1, h2 = hidden
     rng = np.random.default_rng(seed)
     params = [
-        rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)),
-        np.zeros(h1),
-        rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)),
-        np.zeros(h2),
-        rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)),
-        np.zeros(1),
+        rng.normal(0.0, 1.0 / np.sqrt(d), size=(h1, d)).astype(np.float32),
+        np.zeros(h1, dtype=np.float32),
+        rng.normal(0.0, 1.0 / np.sqrt(h1), size=(h2, h1)).astype(np.float32),
+        np.zeros(h2, dtype=np.float32),
+        rng.normal(0.0, 1.0 / np.sqrt(h2), size=(1, h2)).astype(np.float32),
+        np.zeros(1, dtype=np.float32),
     ]
     opt = ReferenceAdam(params, lr=lr)
     model = PairClassifier(params, d, seed)
@@ -147,23 +151,25 @@ class TestAdam:
         steps=st.integers(1, 40),
         lr=st.sampled_from([1e-3, 1e-2, 0.5]),
         seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_bit_equal_to_per_array_update(self, shapes, steps, lr, seed):
+    def test_bit_equal_to_per_array_update(self, shapes, steps, lr, seed, dtype):
         rng = np.random.default_rng(seed)
-        init = [rng.normal(size=s) for s in shapes]
+        init = [rng.normal(size=s).astype(dtype) for s in shapes]
         ref = ReferenceAdam([p.copy() for p in init], lr=lr)
         opt = Adam(init, lr=lr)
+        assert opt.flat.dtype == opt.m.dtype == opt.v.dtype == dtype
         for _ in range(steps):
             # Scales from 1e-9 to 1e3, with exact zeros, stress every branch
             # of the rounding.
-            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-9, 4)
-                     * (rng.random(size=s) < 0.9) for s in shapes]
+            grads = [(rng.normal(size=s) * 10.0 ** rng.integers(-9, 4)
+                      * (rng.random(size=s) < 0.9)).astype(dtype) for s in shapes]
             ref.step(grads)
             for dst, src in zip(opt.grads, grads):
                 dst[...] = src
             opt.step()
         for got, want in zip(opt.params, ref.params):
-            assert got.shape == want.shape
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
 
     def test_params_are_views_updated_in_place(self):
@@ -221,7 +227,7 @@ class TestTrainingLoopsBitEqual:
             got = train_pair_classifier(X, y, Xv, yv, seed=seed, **kwargs)
             want = reference_train_pair_classifier(X, y, Xv, yv, seed, **kwargs)
             for a, b in zip(got.params, want):
-                assert a.shape == b.shape
+                assert a.shape == b.shape and a.dtype == b.dtype == np.float32
                 assert a.tobytes() == b.tobytes()
 
     def test_sda(self):
@@ -285,6 +291,7 @@ class TestInitialStateCache:
         init, state = _initial_state(7, 5, 4, 3)
         assert [a.shape for a in init] == [(4, 5), (4,), (3, 4), (3,), (1, 3), (1,)]
         for a in init:
+            assert a.dtype == np.float32
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
