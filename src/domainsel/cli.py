@@ -19,7 +19,9 @@ from pathlib import Path
 # One BLAS thread per worker unless the user set otherwise; numpy reads these
 # when it loads. A BLAS pool under each `--jobs` thread oversubscribes the
 # cores: on 2 vCPUs the 300-example downstream took 16.3 s at --jobs 2 unpinned
-# against 7.9 s pinned.
+# against 7.9 s pinned. The `--jobs` threads serve only a downstream stage
+# whose fits reach `pipeline.POOL_STEP_WORK` (rows per step times parameters);
+# the measured table that places it is next to the constant and in the README.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="FILE",
                         help="JSON config; defaults apply when omitted")
     common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for the downstream stage, at least 1")
+                        help="at most N worker threads, at least 1; only a "
+                             "downstream stage with big enough fits uses them")
     common.add_argument("--seed", type=int, default=None, metavar="N",
                         help="override the master seed")
 

@@ -90,22 +90,53 @@ DEFAULT_CONFIG = {
 
 _SOURCE_KEYS = {"name", "path", "format", "binarize_threshold"}
 
-# Integer settings and the least value each may take.
+# Integer settings and the least value each may take: the bound the stage
+# that reads it needs, else 0 for a count.
 _LEAST = {
+    "data.synth.words_per_topic": 1,
+    "data.synth.examples_per_domain": 6,  # 3 pairs of each label
+    "data.synth.tokens_per_text": 1,
     "embed.dim": 1,
+    "embed.window": 1,
+    "embed.negatives": 0,
+    "embed.epochs": 0,
+    "lm.min_count": 0,
+    "adapt.layers": 1,
+    "adapt.sda_epochs": 0,
     "adapt.sda_batch": 1,
     "downstream.batch": 1,
     "downstream.max_epochs": 0,
     "downstream.patience": 1,
+    "meta.trees": 1,
+    "meta.depth": 1,
+    "meta.repeats": 1,
 }
 
-# Step sizes: a zero one trains nothing, a negative one climbs the loss.
-_STEP_SIZES = ("adapt.sda_lr", "downstream.lr")
+# Real settings: the range each must lie in, as the error states it, and its
+# test (false for NaN). A zero or negative step size trains nothing or climbs
+# the loss.
+_POSITIVE = ("a finite number > 0", lambda x: 0 < x < math.inf)
+_NON_NEGATIVE = ("a finite number >= 0", lambda x: 0 <= x < math.inf)
+_RANGES = {
+    "data.synth.mixture_concentration": _POSITIVE,
+    "data.synth.noise": ("in [0, 1)", lambda x: 0 <= x < 1),
+    "lm.discount": ("in (0, 1)", lambda x: 0 < x < 1),
+    "features.alpha": ("a finite number > 0 other than 1",
+                       lambda x: 0 < x < math.inf and x != 1),
+    "features.smoothing": _POSITIVE,
+    "adapt.dropout_p": ("in [0, 1)", lambda x: 0 <= x < 1),
+    "adapt.lam": _NON_NEGATIVE,
+    "adapt.noise_scale": _NON_NEGATIVE,
+    "adapt.sda_lr": _POSITIVE,
+    "downstream.lr": _POSITIVE,
+    "meta.learning_rate": _POSITIVE,
+}
 
 
 def _value(cfg: dict, key: str):
-    section, name = key.split(".")
-    return cfg[section][name]
+    for name in key.split("."):
+        cfg = cfg[name]
+    return cfg
 
 
 def _type_ok(value, default) -> bool:
@@ -168,8 +199,10 @@ def _check_semantics(cfg: dict) -> None:
     if len(set(names)) != len(names):
         raise ValidationError("config key 'data.sources' has duplicate names")
     ratios = cfg["data"]["split_ratios"]
-    if len(ratios) != 3 or not all(isinstance(r, (int, float)) for r in ratios):
-        raise ValidationError("config key 'data.split_ratios' must be 3 numbers")
+    if not (len(ratios) == 3 and all(_type_ok(r, 0.0) and r > 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ValidationError("config key 'data.split_ratios' must be 3 numbers > 0 "
+                              f"that sum to 1, got {ratios}")
     for variant in cfg["adapt"]["variants"]:
         if variant not in VARIANTS:
             raise ValidationError(
@@ -200,10 +233,12 @@ def _check_semantics(cfg: dict) -> None:
         )
     for key, least in _LEAST.items():
         if _value(cfg, key) < least:
-            raise ValidationError(f"config key '{key}' must be >= {least}")
-    for key in _STEP_SIZES:
-        if not 0 < _value(cfg, key) < math.inf:
-            raise ValidationError(f"config key '{key}' must be a finite number > 0")
+            raise ValidationError(f"config key '{key}' must be >= {least}, "
+                                  f"got {_value(cfg, key)}")
+    for key, (allowed, ok) in _RANGES.items():
+        if not ok(_value(cfg, key)):
+            raise ValidationError(f"config key '{key}' must be {allowed}, "
+                                  f"got {_value(cfg, key)}")
     for pair in cfg["report"]["pca_pairs"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(

@@ -539,19 +539,49 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
     return [jobs]
 
 
-# Stages whose jobs run on the `--jobs` thread pool. Threads can pay only
-# where a job spends its time in numpy calls long enough to run without the
-# GIL: the downstream MLP sweeps (one job per variant). Every other stage is
-# Python loops or many tiny numpy calls, where two threads mostly hand the
-# GIL back and forth. Measured on a 2-vCPU host, BLAS on one thread, default
-# world with all four variants and 5 MLP and sda epochs, float32 fits,
-# downstream stage alone on a workspace built through adapt: at 30 examples
-# per domain it took 0.78 s on 2 threads against 0.63 s serial (1.03 s of
-# CPU against 0.63 s, medians of 6); at 100 examples, 1.47 s against 1.35 s;
-# at 300, 3.10 s against 3.14 s (4.71 s of CPU against 3.14 s; medians of
-# 4). With adapt on 2 threads, traced train_sda time was 1.46 s against
-# 0.24 s serial.
-POOLED_STAGES = ("downstream",)
+# Rows per training step times parameters of the widest pair classifier, at
+# and above which the downstream stage runs its variant jobs on the `--jobs`
+# threads; below it, and in every other stage, jobs run serially. Threads pay
+# only where a job spends its time in numpy calls long enough to run without
+# the GIL; the short calls of a small fit mostly hand the GIL back and forth.
+# Measured on a 2-vCPU host, BLAS on one thread, all four variants, default
+# hidden widths and batch, float32 fits, the downstream stage alone on a
+# workspace built through adapt, serial against 2 threads:
+#   1.28M  dim 16, 24 train rows (bench transfer)  0.54-0.56 s / 0.57-0.59 s
+#   1.71M  defaults (dim 16, 300 examples)         4.05-5.06 s / 3.89-4.94 s,
+#          1.4x the CPU
+#   2.50M  dim 24, 300 examples                    5.49-6.72 s / 4.41-4.97 s,
+#          1.2x the CPU
+#   3.28M  dim 32, 300 examples                    8.0-8.6 s / 6.2 s
+#   4.86M  dim 48, 300 examples                    11.3-14.2 s / 8.7-8.9 s
+# The other stages are Python loops or many tiny numpy calls: with adapt on 2
+# threads, traced train_sda time was 1.46 s against 0.24 s serial.
+POOL_STEP_WORK = 2_000_000
+
+
+def step_work(cfg: dict, train_rows: int) -> int:
+    """Rows per training step times the parameter count of the widest pair
+    classifier the downstream stage trains, given the largest train split."""
+    d = cfg["downstream"]
+    width = 4 * cfg["embed"]["dim"]  # pair_input of two sentence vectors
+    if {"msda", "msdar"} & set(cfg["adapt"]["variants"]):
+        width *= cfg["adapt"]["layers"] + 1  # the input and each layer's output
+    h1, h2 = d["hidden"]
+    return min(d["batch"], train_rows) * ((width + 1) * h1 + (h1 + 1) * h2 + h2 + 1)
+
+
+def _threads(ws: Workspace, cfg: dict, stage: str, n_jobs: int) -> int:
+    """`n_jobs` for a downstream stage whose step work reaches
+    POOL_STEP_WORK, else 1."""
+    if stage != "downstream" or n_jobs == 1:
+        return 1
+    corpora = _load_corpora(ws, domain_names(cfg)).values()
+    work = step_work(cfg, max(len(c.indices(c.train_split)) for c in corpora))
+    if work < POOL_STEP_WORK:
+        log.info("stage downstream: step work %d < %d, one thread", work, POOL_STEP_WORK)
+        return 1
+    return n_jobs
+
 
 # Each builder returns its stage's phases, run in order: lists of (job, the
 # config values it reads, the workspace files it reads), which key the job.
@@ -574,8 +604,9 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
 
     Returns {stage: StageResult}. Identical config and seeds produce
     byte-identical artifacts no matter how often or how parallel this runs.
-    `n_jobs` threads serve only the stages in POOLED_STAGES; the others run
-    their jobs serially.
+    `n_jobs` is an upper bound: only a downstream stage whose fits are big
+    enough (POOL_STEP_WORK) runs its jobs on that many threads; every other
+    stage runs its jobs serially.
     `only_mode`/`only_variant` narrow which meta models get built without
     touching any job's key, so a later full run reuses everything.
     """
@@ -585,6 +616,7 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
     results = {}
     for stage in STAGES[: STAGES.index(upto) + 1]:
         combined = StageResult()
+        threads = _threads(ws, resolved, stage, n_jobs)
         if stage == "meta":
             phases = _meta_jobs(ws, resolved, only_mode, only_variant)
         else:
@@ -592,7 +624,7 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
         for phase in phases:
             done = run_stage(ws, stage, _phase_keys(ws, stage, phase),
                              [job for job, _, _ in phase],
-                             n_jobs=n_jobs if stage in POOLED_STAGES else 1,
+                             n_jobs=threads,
                              seed=resolved[stage].get("seed"))
             combined.built.extend(done.built)
             combined.skipped.extend(done.skipped)

@@ -156,8 +156,12 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
     thread pool, which cannot change any numeric output because every job
     derives its randomness from its own recorded seed. Threads pay only for
     jobs that spend their time in long GIL-free numpy calls, so
-    `pipeline.run_pipeline` passes n_jobs to the downstream stage alone
-    (see `pipeline.POOLED_STAGES`).
+    `pipeline.run_pipeline` passes n_jobs > 1 only to a downstream stage
+    whose widest pair classifier does at least `pipeline.POOL_STEP_WORK`
+    (rows per step times parameters) per training step: on 2 vCPUs, 2
+    threads saved a sixth of the stage at 2.50M and a quarter at 3.28M, but
+    nothing at 1.71M and below, at up to 1.4x the CPU (the measured table
+    is next to the constant and in the README).
     """
     manifest = ws.load_manifest()
     artifacts = manifest["artifacts"]

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import domainsel.pipeline as pipeline_mod
 from domainsel.adapt import (
     AdaptConfig,
     fit_domain_classifier,
@@ -346,7 +347,10 @@ def _csv_hashes(root: Path) -> dict:
     }
 
 
-def test_criterion_7_determinism(synthetic_worlds, tmp_path):
+def test_criterion_7_determinism(synthetic_worlds, tmp_path, monkeypatch):
+    # Open the pool for fits of any size. C6 has one variant, though, so its
+    # downstream stage is one job, which runs on the calling thread.
+    monkeypatch.setattr(pipeline_mod, "POOL_STEP_WORK", 0)
     t0 = time.time()
     cfg = resolve_config(validate_config(dict(C6_CONFIG, seed=C6_SEEDS[0])))
     runs = {}

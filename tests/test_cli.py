@@ -1,6 +1,7 @@
 """End-to-end command line runs on a small synthetic world."""
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -210,21 +211,78 @@ VARIANTS_CONFIG = {
 }
 
 
-def test_all_variants_byte_identical_under_threads(tmp_path):
+def job_threads(monkeypatch) -> list:
+    """Record the thread of each downstream variant job."""
+    import domainsel.pipeline as pipeline_mod
+
+    seen, real = [], pipeline_mod.cross_domain_matrix
+
+    def recorded(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", recorded)
+    return seen
+
+
+def open_pool(monkeypatch) -> None:
+    """Pool the downstream stage at --jobs > 1 whatever its fit sizes, so
+    that a small world still runs its variant jobs on threads."""
+    import domainsel.pipeline as pipeline_mod
+
+    monkeypatch.setattr(pipeline_mod, "POOL_STEP_WORK", 0)
+
+
+def test_all_variants_byte_identical_under_threads(tmp_path, monkeypatch):
     """Downstream trains its variants on the thread pool; bytes must not move."""
+    open_pool(monkeypatch)
+    threads = job_threads(monkeypatch)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
     hashes = {}
     for jobs in ("1", "2"):
+        threads.clear()
         ws = tmp_path / f"ws{jobs}"
         rc = main(["downstream", "--workspace", str(ws), "--config", str(cfg_path),
                    "--jobs", jobs])
         assert rc == 0
         hashes[jobs] = tree_hashes(ws)
+    # The --jobs 2 variant jobs ran on the pool.
+    assert len(threads) == len(VARIANTS_CONFIG["adapt"]["variants"])
+    assert threading.get_ident() not in threads
     for variant in VARIANTS_CONFIG["adapt"]["variants"]:
         assert f"downstream/f1_{variant}_mean.csv" in hashes["1"]
     assert any(rel.startswith("adapt/sda/") for rel in hashes["1"])
     assert hashes["2"] == hashes["1"]
+
+
+def test_pool_rule_by_step_work():
+    """The downstream stage pools only where rows per step times the
+    parameters of its widest fit reach POOL_STEP_WORK: not at the bench
+    transfer world's sizes (dim 16, 24 train rows, all four variants) nor
+    at the defaults', but at dim 32 with 240 train rows."""
+    from domainsel.pipeline import POOL_STEP_WORK, step_work
+
+    every = {"adapt": {"variants": ["none", "sda", "msda", "msdar"]}}
+    transfer, dim32 = (validate_config(dict(every, embed={"dim": dim})) for dim in (16, 32))
+    # A 4 x 16 x (5 + 1) = 384-wide input into [128, 32] has 53,441 parameters.
+    assert step_work(transfer, 24) == 24 * 53_441
+    assert step_work(transfer, 24) < step_work(transfer, 240) < POOL_STEP_WORK
+    assert step_work(dim32, 240) >= POOL_STEP_WORK
+    # Rows per step stop at the batch; sda alone keeps the 4 x dim input.
+    assert step_work(dim32, 10_000) == step_work(dim32, 32)
+    sda = validate_config({"adapt": {"variants": ["sda"]}, "embed": {"dim": 32}})
+    assert step_work(sda, 240) == 32 * (129 * 128 + 129 * 32 + 33)
+
+
+def test_small_world_trains_serially_at_jobs_2(tmp_path, monkeypatch, caplog):
+    """Below POOL_STEP_WORK, --jobs 2 runs every downstream job on the
+    calling thread, one after another, and says so."""
+    threads = job_threads(monkeypatch)
+    caplog.set_level(logging.INFO)
+    _run("downstream", tmp_path / "ws", tmp_path, "2")
+    assert threads == [threading.get_ident()] * len(VARIANTS_CONFIG["adapt"]["variants"])
+    assert "stage downstream: step work" in caplog.text
 
 
 def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
@@ -235,7 +293,8 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
     import domainsel.downstream as downstream_mod
     import domainsel.pipeline as pipeline_mod
 
-    trainings, calls = [], []
+    open_pool(monkeypatch)
+    trainings, calls, threads = [], [], set()
     job = threading.local()
     real_fit = downstream_mod._fit
     real_train = downstream_mod.train_pair_classifier
@@ -251,6 +310,7 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
 
     def tagged_matrix(names, data, variant, seeds, *args, **kwargs):
         # A variant job makes its calls on one thread, pair by pair, seed by seed.
+        threads.add(threading.get_ident())
         job.caches = []
         matrix = real_matrix(names, data, variant, seeds, *args, **kwargs)
         pairs = [(s, t) for s in names for t in names for _ in seeds]
@@ -270,6 +330,7 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
     for jobs in ("1", "2"):
         trainings.clear()
         calls.clear()
+        threads.clear()
         ws = tmp_path / f"ws{jobs}"
         rc = main(["downstream", "--workspace", str(ws), "--config", str(cfg_path),
                    "--jobs", jobs])
@@ -284,6 +345,8 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
             identity = variant == "none" or src == tgt
             assert cache is (caches[jobs] if identity else None)
         f1[jobs] = {p.name: p.read_bytes() for p in sorted((ws / "downstream").glob("*.csv"))}
+        on_pool = threading.get_ident() not in threads
+        assert on_pool == (jobs == "2")
     assert caches["2"] is not caches["1"]  # one cache per downstream stage
     assert len(f1["1"]) == v * (s + 1)
     assert f1["2"] == f1["1"]
@@ -345,6 +408,7 @@ def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
 def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
     """Downstream over a workspace built through adapt loads each sentence
     file once, also on the pool, and hands out read-only arrays."""
+    open_pool(monkeypatch)
     built = tmp_path / "built"
     _run("adapt", built, tmp_path)
     files = sorted(p.name for p in (built / "sentences").glob("*.npy"))
@@ -588,8 +652,24 @@ class TestErrors:
         ({"downstream": {"patience": 0}}, "downstream.patience"),
         ({"adapt": {"sda_lr": 0}}, "adapt.sda_lr"),
         ({"embed": {"dim": 0}}, "embed.dim"),
+        ({"adapt": {"layers": 0}}, "adapt.layers"),
+        ({"adapt": {"dropout_p": 1.0}}, "adapt.dropout_p"),
+        ({"meta": {"trees": 0}}, "meta.trees"),
+        ({"lm": {"discount": 1.5}}, "lm.discount"),
+        ({"embed": {"window": 0}}, "embed.window"),
+        ({"embed": {"negatives": -1}}, "embed.negatives"),
+        ({"embed": {"epochs": -1}}, "embed.epochs"),
+        ({"adapt": {"sda_epochs": -2}}, "adapt.sda_epochs"),
+        ({"features": {"alpha": 1.0}}, "features.alpha"),
+        ({"data": {"synth": {"noise": 1.0}}}, "data.synth.noise"),
+        ({"data": {"synth": {"examples_per_domain": 5}}}, "data.synth.examples_per_domain"),
+        ({"data": {"split_ratios": [1.0, 0.0, 0.0]}}, "data.split_ratios"),
+        ({"data": {"split_ratios": [0.5, 0.2, 0.2]}}, "data.split_ratios"),
     ], ids=["negative_seed", "repeated_seed", "negative_lr", "negative_epochs",
-            "zero_patience", "zero_sda_lr", "zero_dim"])
+            "zero_patience", "zero_sda_lr", "zero_dim", "zero_layers", "full_dropout",
+            "zero_trees", "discount_above_1", "zero_window", "negative_negatives",
+            "negative_embed_epochs", "negative_sda_epochs", "alpha_1", "full_noise",
+            "five_examples", "empty_split", "ratios_sum_below_1"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, edit, key):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(merged(tiny_world(2), edit)))
@@ -787,7 +867,7 @@ def built(results) -> set:
 def merged(base: dict, edit: dict) -> dict:
     out = json.loads(json.dumps(base))
     for key, value in edit.items():
-        out[key] = merged(out[key], value) if isinstance(value, dict) else value
+        out[key] = merged(out.get(key, {}), value) if isinstance(value, dict) else value
     return out
 
 
