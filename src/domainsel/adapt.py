@@ -193,10 +193,6 @@ class AdaptModel:
         self.input_dim = input_dim
         self.params = params
         self.loss_curves = loss_curves
-        if cfg.variant in ("msda", "msdar"):
-            self.output_dim = input_dim * (len(params["mapping"]) + 1)
-        else:
-            self.output_dim = input_dim
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         if X.ndim != 2 or X.shape[0] != self.input_dim:

@@ -112,11 +112,13 @@ def _meta_restriction(resolved: dict, args) -> tuple:
     return only_mode, only_variant
 
 
-def _copy_report(ws: Workspace, out_dir: str) -> None:
+def _copy_report(ws: Workspace, outputs, out_dir: str) -> None:
+    """Copy the report stage's current outputs; files an earlier config left
+    in `report/` stay behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for path in sorted(ws.path("report").iterdir()):
-        shutil.copyfile(path, out / path.name)
+    for rel in sorted(outputs):
+        shutil.copyfile(ws.path(rel), out / Path(rel).name)
 
 
 def run(args) -> int:
@@ -135,10 +137,11 @@ def run(args) -> int:
     from .pipeline import run_pipeline  # loads numpy; the checks above do not
 
     ws = Workspace(args.workspace)
-    run_pipeline(ws, resolved, upto=_STAGE_OF[args.command], n_jobs=args.jobs,
-                 only_mode=only_mode, only_variant=only_variant)
+    results = run_pipeline(ws, resolved, upto=_STAGE_OF[args.command], n_jobs=args.jobs,
+                           only_mode=only_mode, only_variant=only_variant)
     if args.command == "report" and args.out:
-        _copy_report(ws, args.out)
+        report = results["report"]
+        _copy_report(ws, report.built + report.skipped, args.out)
     return 0
 
 

@@ -11,14 +11,14 @@ strictly, or, into a target whose in-domain F1 is zero, when F1_ST > 0.
 Many of those fits repeat: a plain (`none`) source classifier does not
 depend on its target, and every variant's diagonal is the same fit. Both are
 the identity-encoded fits, so `cross_domain_matrix` hands exactly those to a
-`FitCache`, which keys each call by the sha256 of its input arrays and
-settings and returns a kept model instead of training again; an equal call
-already training on another thread is waited for, not repeated. Training is
-deterministic, so a kept model is bit-equal to a fresh fit. An adapted
-off-diagonal fit is asked for once and trains without a cache. A cache holds
-read-only parameters and evicts the least recently used models once their
-parameters exceed `FIT_CACHE_BYTES`; its owner decides how long it lives (the
-pipeline keeps one per downstream stage).
+`workspace.Memo`, keyed by the sha256 of each call's input arrays and
+settings, which returns the kept model instead of training again; an equal
+call already training on another thread is waited for, not repeated.
+Training is deterministic, so a kept model is bit-equal to a fresh fit. An
+adapted off-diagonal fit is asked for once and trains without a memo. The
+memo's owner decides how long the fits live: the pipeline keeps every
+identity fit for one downstream stage, D x seeds of them (about 5 MB at
+`embed.dim` 128 with the default hidden widths).
 """
 from __future__ import annotations
 
@@ -27,24 +27,18 @@ import functools
 import hashlib
 import json
 import logging
-import threading
-from collections import OrderedDict
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .optim import Adam
+from .workspace import Memo
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (128, 32)
 DEFAULT_SUCCESS_THRESHOLD = 0.8
-# Parameter bytes of the fits kept for reuse. The bound is in bytes, not
-# models: a 64-wide float32 model with the default hidden widths holds 50 KB,
-# so the bound keeps the 18 plain (source, seed) fits of the default world.
-FIT_CACHE_BYTES = 4 << 20
 
 
 def pair_input(vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
@@ -138,50 +132,6 @@ def _initial_state(seed: int, d: int, h1: int, h2: int):
     return init, rng.bit_generator.state
 
 
-class FitCache:
-    """Fits by key, least recently used first, bounded by parameter bytes.
-
-    A key that is training has a pending future, so an equal call on another
-    thread waits for that fit instead of training it again.
-    """
-
-    def __init__(self):
-        self._models = OrderedDict()
-        self._training = {}  # key -> Future of the fit in progress
-        self._lock = threading.Lock()
-        self.nbytes = 0
-
-    def fit(self, key: str, train) -> PairClassifier:
-        """The kept or in-progress fit of `key`, else `train()`, which is kept."""
-        with self._lock:
-            clf = self._models.get(key)
-            if clf is not None:
-                self._models.move_to_end(key)
-                return clf
-            pending = self._training.get(key)
-            owner = pending is None
-            if owner:
-                pending = self._training[key] = Future()
-        if not owner:
-            return pending.result()
-        try:
-            clf = train()
-        except BaseException as e:
-            with self._lock:
-                del self._training[key]
-            pending.set_exception(e)
-            raise
-        with self._lock:
-            del self._training[key]
-            self._models[key] = clf
-            self.nbytes += sum(p.nbytes for p in clf.params)
-            while self.nbytes > FIT_CACHE_BYTES:
-                _, old = self._models.popitem(last=False)
-                self.nbytes -= sum(p.nbytes for p in old.params)
-        pending.set_result(clf)
-        return clf
-
-
 def train_pair_classifier(
     X_train: np.ndarray,
     y_train: np.ndarray,
@@ -193,7 +143,7 @@ def train_pair_classifier(
     patience: int = 5,
     batch: int = 32,
     lr: float = 1e-3,
-    cache: FitCache | None = None,
+    cache: Memo | None = None,
 ) -> PairClassifier:
     """Binary cross-entropy training with early stopping on validation F1.
 
@@ -231,7 +181,7 @@ def train_pair_classifier(
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a))
     train = functools.partial(_fit, X_train, y_train, X_val, y_val, *settings)
-    return cache.fit(h.hexdigest(), train)
+    return cache.get(h.hexdigest(), train)
 
 
 def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
@@ -326,7 +276,7 @@ def cross_domain_matrix(
     variant: str,
     seeds,
     encoder=None,
-    cache: FitCache | None = None,
+    cache: Memo | None = None,
     **train_kwargs,
 ) -> F1Matrix:
     """Train/evaluate every ordered domain pair under each seed.

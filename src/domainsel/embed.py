@@ -192,11 +192,6 @@ def train_skipgram(
     that decays linearly from 0.025 to 0.0001 over all center words.
     """
     token_lists = [tokenize(t) for t in corpus.texts(corpus.train_split)]
-    return _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed,
-                                  domain=corpus.name)
-
-
-def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, domain=""):
     counts: dict[str, int] = {}
     for toks in token_lists:
         for t in toks:
@@ -258,9 +253,9 @@ def _train_skipgram_tokens(token_lists, dim, window, negatives, epochs, seed, do
         losses.append(_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg))
 
     log.debug("skipgram '%s': vocab=%d loss %.4f -> %.4f",
-              domain, len(vocab), losses[0], losses[-1])
+              corpus.name, len(vocab), losses[0], losses[-1])
     w_in.flags.writeable = False
     return EmbeddingTable(
-        dim=dim, domain=domain, tokens=tuple(vocab), matrix=w_in,
+        dim=dim, domain=corpus.name, tokens=tuple(vocab), matrix=w_in,
         loss_curve=tuple(losses),
     )

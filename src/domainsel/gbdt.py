@@ -125,14 +125,14 @@ class GBDTModel:
             else tuple(f"x{i}" for i in range(n_features))
         )
 
-    def predict_margin(self, X, n_trees: int | None = None) -> np.ndarray:
+    def predict_margin(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
                 f"model expects (n, {self.n_features}) inputs, got {X.shape}"
             )
         margin = np.zeros(len(X))
-        for tree in self.trees[: n_trees if n_trees is not None else len(self.trees)]:
+        for tree in self.trees:
             margin += self.learning_rate * _tree_predict(tree, X)
         return margin
 

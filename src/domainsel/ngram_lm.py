@@ -131,7 +131,12 @@ class TrigramLM:
         return cls(discount, frozenset(vocab), c2, c3)
 
 
-def _train_from_token_lists(token_lists, min_count: int, discount: float) -> TrigramLM:
+def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:
+    """Train on the corpus train split (the whole corpus if unsplit)."""
+    texts = corpus.texts(corpus.train_split)
+    if not texts:
+        raise ValidationError(f"corpus '{corpus.name}': empty training text set")
+    token_lists = [tokenize(t) for t in texts]
     raw: Counter = Counter()
     for toks in token_lists:
         raw.update(toks)
@@ -147,15 +152,7 @@ def _train_from_token_lists(token_lists, min_count: int, discount: float) -> Tri
             c2[(seq[i - 1], seq[i])] += 1
         for i in range(2, len(seq)):
             c3[(seq[i - 2], seq[i - 1], seq[i])] += 1
-    return TrigramLM(discount, vocab, c2, c3)
-
-
-def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:
-    """Train on the corpus train split (the whole corpus if unsplit)."""
-    texts = corpus.texts(corpus.train_split)
-    if not texts:
-        raise ValidationError(f"corpus '{corpus.name}': empty training text set")
-    lm = _train_from_token_lists([tokenize(t) for t in texts], min_count, discount)
+    lm = TrigramLM(discount, vocab, c2, c3)
     log.debug(
         "trained kn-trigram for '%s': vocab=%d trigram_types=%d",
         corpus.name, len(lm.vocab), len(lm.c3),

@@ -23,7 +23,6 @@ from .adapt import (
 from .config import STAGES, child_seed, config_hash
 from .corpus import DomainCorpus, SPLITS
 from .downstream import (
-    FitCache,
     cross_domain_matrix,
     load_f1_matrix,
     save_f1_matrix,
@@ -44,7 +43,7 @@ from .ngram_lm import TrigramLM, train_kn
 from .report import build_table1, build_table2, pca_export, true_ordering
 from .simfeat import feature_vector, load_feature_matrix, save_feature_matrix
 from .synth import spec_from_config, synth_domain, synth_names
-from .workspace import Job, StageResult, Workspace, file_sha256, run_stage
+from .workspace import Job, Memo, StageResult, Workspace, file_sha256, run_stage
 
 log = logging.getLogger(__name__)
 
@@ -337,7 +336,7 @@ def _downstream_outputs(variant: str, seeds) -> list:
 def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     d = cfg["downstream"]
     names = domain_names(cfg)
-    fits = FitCache()  # the identity-encoded fits, shared by the variant jobs
+    fits = Memo()  # the identity-encoded fits, shared by the variant jobs
 
     def make(variant):
         def build():

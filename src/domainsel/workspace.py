@@ -12,7 +12,9 @@ Within a run, a job that saves an object (a corpus, table, language model
 or sentence array) can `keep` it, and later jobs `read` it without parsing
 the file again, as long as the file still has the bytes it was kept with.
 A file that no job kept is loaded by its first `read`, once, also when pool
-threads ask for it at the same time.
+threads ask for it at the same time. Both go through a `Memo`, the one
+mechanism for reuse within a run, which also keeps the downstream stage's
+fits.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import json
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,11 +44,49 @@ def file_sha256(path) -> str | None:
         return None
 
 
+class Memo:
+    """Values by key, each made once: `get(key, make)` returns the value of
+    `key`, calling `make()` only if no call has made it yet.
+
+    A thread that asks for a key another thread is making waits for that
+    result, error included. A failed `make` leaves no entry, so a later call
+    makes it again. Values are shared, so they must be immutable; they stay
+    as long as the memo does.
+    """
+
+    def __init__(self):
+        self._values = {}
+        self._making = {}  # key -> Future of the value another call is making
+        self._lock = threading.Lock()
+
+    def get(self, key, make):
+        with self._lock:
+            if key in self._values:
+                return self._values[key]
+            pending = self._making.get(key)
+            owner = pending is None
+            if owner:
+                pending = self._making[key] = Future()
+        if not owner:
+            return pending.result()
+        try:
+            value = make()
+        except BaseException as e:
+            with self._lock:
+                del self._making[key]
+            pending.set_exception(e)
+            raise
+        with self._lock:
+            del self._making[key]
+            self._values[key] = value
+        pending.set_result(value)
+        return value
+
+
 class Workspace:
     def __init__(self, root):
         self.root = Path(root)
-        self._kept = {}  # relpath -> (sha256 of the file's bytes, object)
-        self._lock = threading.Lock()  # pool threads read concurrently
+        self._memo = Memo()  # (relpath, sha256 of the file's bytes) -> object
 
     def path(self, rel: str) -> Path:
         return self.root / rel
@@ -56,25 +96,17 @@ class Workspace:
 
         Kept objects are shared, so they must be immutable.
         """
-        digest = file_sha256(self.path(rel))
-        with self._lock:
-            self._kept[rel] = (digest, obj)
+        self._memo.get((rel, file_sha256(self.path(rel))), lambda: obj)
 
     def read(self, rel: str, load):
-        """The object saved at `rel`: the kept one while the file still has
-        the bytes it was kept with, else `load(path)`, which is then kept.
+        """The object saved at `rel` with the file's current bytes: a kept
+        or earlier read one, else `load(path)`, which is then kept.
 
-        Reads hold one lock while they hash and load, so threads asking for
-        one file load it once; `load` must not read the workspace itself.
+        Threads asking for one file load it once; `load` must not read `rel`
+        itself, which would wait for its own result.
         """
-        with self._lock:
-            digest = file_sha256(self.path(rel))
-            kept = self._kept.get(rel)
-            if digest is not None and kept is not None and kept[0] == digest:
-                return kept[1]
-            obj = load(self.path(rel))
-            self._kept[rel] = (digest, obj)
-            return obj
+        path = self.path(rel)
+        return self._memo.get((rel, file_sha256(path)), lambda: load(path))
 
     def load_manifest(self) -> dict:
         path = self.root / MANIFEST_NAME

@@ -190,8 +190,7 @@ class TestStackMarginalized:
         X_t = rng.normal(size=(16, 40))
         cfg = AdaptConfig(variant="msdar", layers=5, dropout_p=0.6, lam=1.0)
         model = stack_marginalized(X_s, X_t, cfg)
-        assert model.output_dim == 96
-        assert model.encode(X_t).shape == (96, 40)
+        assert model.encode(X_t).shape == (96, 40)  # the input and five layers
 
     def test_encode_deterministic(self):
         rng = np.random.default_rng(29)
@@ -268,7 +267,7 @@ class TestEncodeAndPersistence:
         cfg = AdaptConfig(variant="msdar", layers=2, dropout_p=0.6, lam=1.0)
         model = stack_marginalized(X_s, X_t, cfg)
         loaded = self.roundtrip(model, tmp_path)
-        assert loaded.output_dim == model.output_dim
+        assert loaded.encode(X_t).shape == (15, 30)  # the input and two layers
         assert loaded.loss_curves == []
         for got, want in zip(loaded.params["mapping"], model.params["mapping"], strict=True):
             self.assert_bit_equal_read_only(got, want)

@@ -19,7 +19,7 @@ from domainsel.config import load_config, resolve_config, validate_config
 from domainsel.downstream import load_f1_matrix, success_labels
 from domainsel.pipeline import run_pipeline
 from domainsel.synth import SyntheticSpec, synth_domain
-from domainsel.workspace import Workspace
+from domainsel.workspace import Memo, Workspace
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -105,13 +105,6 @@ class TestPipeline:
         assert stages == {"data", "embed", "lm", "features", "downstream",
                           "meta", "report"}
 
-    def test_parallel_run_byte_identical(self, world, tmp_path):
-        ws_path, cfg_path = world
-        rc = main(["pipeline", "--workspace", str(tmp_path / "ws2"),
-                   "--config", str(cfg_path), "--jobs", "4"])
-        assert rc == 0
-        assert tree_hashes(tmp_path / "ws2") == tree_hashes(ws_path)
-
     def test_deleted_lm_regenerates_byte_identically(self, world):
         ws_path, cfg_path = world
         victim = ws_path / "lms" / "syn02.txt"
@@ -183,6 +176,21 @@ class TestStageCommands:
         for name in ("table1_predictor.csv", "table1_ranker.csv", "table2.csv",
                      "pca_syn00__syn01.csv", "manifest.json"):
             assert (out / name).exists(), name
+
+    def test_report_out_copies_only_current_outputs(self, world, tmp_path):
+        ws_path, _ = world
+        ws2 = tmp_path / "ws"
+        shutil.copytree(ws_path, ws2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            dict(SMALL_CONFIG, report={"pca_pairs": [["syn02", "syn03"]]})))
+        out = tmp_path / "tables"
+        rc = main(["report", "--workspace", str(ws2), "--config", str(cfg_path),
+                   "--out", str(out)])
+        assert rc == 0
+        assert (ws2 / "report" / "pca_syn00__syn01.csv").exists()  # left by the old config
+        want = {Path(rel).name for rel in EXPECTED_REPORTS} - {"pca_syn00__syn01.csv"}
+        assert {p.name for p in out.iterdir()} == want | {"pca_syn02__syn03.csv"}
 
     def test_seed_override_changes_data(self, world, tmp_path):
         ws_path, cfg_path = world
@@ -340,7 +348,7 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
         stage = {id(c): c for *_, c in calls if c is not None}
         assert len(stage) == 1
         (caches[jobs],) = stage.values()
-        assert isinstance(caches[jobs], downstream_mod.FitCache)
+        assert isinstance(caches[jobs], Memo)
         for variant, src, tgt, cache in calls:
             identity = variant == "none" or src == tgt
             assert cache is (caches[jobs] if identity else None)

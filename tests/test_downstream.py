@@ -1,17 +1,13 @@
 import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import domainsel.downstream as downstream_mod
-from domainsel.config import DEFAULT_CONFIG
 from domainsel.downstream import (
-    FIT_CACHE_BYTES,
     F1Matrix,
-    FitCache,
     cross_domain_matrix,
     f1_score,
     load_f1_matrix,
@@ -21,6 +17,7 @@ from domainsel.downstream import (
     train_pair_classifier,
 )
 from domainsel.errors import ValidationError
+from domainsel.workspace import Memo
 
 
 class TestPairInput:
@@ -190,7 +187,7 @@ class TestCrossDomainMatrix:
 
         monkeypatch.setattr(downstream_mod, "train_pair_classifier", recorded)
         data = domain_data("ABC", sizes=(20, 20, 20))
-        cache = FitCache()
+        cache = Memo()
         seeds = (0, 1, 2)
         for variant in ("DT", "none"):
             encoded.clear()
@@ -320,8 +317,8 @@ def param_bytes(clf) -> bytes:
 
 
 class TestFitCache:
-    """An equal call through a cache returns the kept fit; any change to the
-    inputs trains, and so does every call without a cache."""
+    """An equal call through a memo returns the kept fit; any change to the
+    inputs trains, and so does every call without a memo."""
 
     @pytest.fixture
     def trainings(self, monkeypatch):
@@ -337,12 +334,12 @@ class TestFitCache:
         return count
 
     def test_equal_call_trains_nothing_and_matches_a_fresh_fit(self, trainings):
-        cache = FitCache()
+        cache = Memo()
         first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         assert len(trainings) == 1
         assert again is first
-        fresh = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=FitCache())
+        fresh = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=Memo())
         assert len(trainings) == 2
         assert fresh is not first
         assert param_bytes(fresh) == param_bytes(first)
@@ -352,7 +349,7 @@ class TestFitCache:
         "seed", "lr", "hidden", "batch", "max_epochs", "patience",
     ])
     def test_any_change_misses(self, trainings, change):
-        cache = FitCache()
+        cache = Memo()
         train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         inputs, settings = fit_inputs(), dict(FIT_SETTINGS)
         X, y, Xv, yv = inputs
@@ -378,7 +375,7 @@ class TestFitCache:
 
     def test_change_rounded_away_in_float32_hits(self, trainings):
         # The key hashes the float32 inputs that the fit trains on.
-        cache = FitCache()
+        cache = Memo()
         first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         X, y, Xv, yv = fit_inputs()
         X[7, 1] = np.nextafter(X[7, 1], np.inf)
@@ -387,7 +384,7 @@ class TestFitCache:
         assert len(trainings) == 1
 
     def test_kept_parameters_are_read_only(self):
-        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=FitCache())
+        clf = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=Memo())
         for p in clf.params:
             assert p.dtype == np.float32
             assert not p.flags.writeable
@@ -402,49 +399,27 @@ class TestFitCache:
         assert got.dtype == np.float32
         assert got.tobytes() == clf.predict_proba(X.astype(np.float32)).tobytes()
 
-    def test_byte_bound_holds_after_many_wide_fits(self, trainings):
+    def test_first_fit_kept_after_more_than_4_mib_of_fits(self, trainings):
+        # A memo keeps every fit it made, however many bytes they hold.
         rng = np.random.default_rng(0)
         y = np.tile([0.0, 1.0], 5)
-        cache = FitCache()
+        cache = Memo()
+        inputs = [rng.normal(size=(10, 384)) for _ in range(24)]
 
-        def fit(X, seed):
-            return train_pair_classifier(X, y, X, y, seed=seed, hidden=(128, 32),
-                                         max_epochs=0, cache=cache)
+        def fit(i):
+            return train_pair_classifier(inputs[i], y, inputs[i], y, seed=i,
+                                         hidden=(128, 32), max_epochs=0, cache=cache)
 
-        first = rng.normal(size=(10, 384))
-        size = sum(p.nbytes for p in fit(first, 0).params)
-        held = FIT_CACHE_BYTES // size
-        assert held >= 2
-        fits = held + 3  # so that the bound evicts three of them
-        for i in range(1, fits):
-            X = rng.normal(size=(10, 384))
-            fit(X, i)
-            assert cache.nbytes <= FIT_CACHE_BYTES
-        assert len(cache._models) == held
-        assert cache.nbytes == held * size
-        assert len(trainings) == fits
-        # The most recent fit is kept, the oldest is not.
-        fit(X, fits - 1)
-        assert len(trainings) == fits
-        fit(first, 0)
-        assert len(trainings) == fits + 1
-
-    def test_bound_holds_the_plain_fits_of_the_default_world(self):
-        # One plain fit per (domain, seed), on pair inputs four sentence
-        # vectors wide.
-        cfg = DEFAULT_CONFIG
-        X = np.random.default_rng(0).normal(size=(10, 4 * cfg["embed"]["dim"]))
-        y = np.tile([0.0, 1.0], 5)
-        clf = train_pair_classifier(X, y, X, y, seed=0, max_epochs=0,
-                                    hidden=tuple(cfg["downstream"]["hidden"]))
-        size = sum(p.nbytes for p in clf.params)
-        plain = cfg["data"]["synth"]["domains"] * len(cfg["downstream"]["seeds"])
-        assert plain * size <= FIT_CACHE_BYTES
+        fits = [fit(i) for i in range(len(inputs))]
+        assert sum(p.nbytes for clf in fits for p in clf.params) > 4 << 20
+        assert len(trainings) == len(inputs)
+        assert fit(0) is fits[0]
+        assert len(trainings) == len(inputs)
 
     def test_unkept_fit_trains_again(self, trainings):
         first = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS)
         assert not any(p.flags.writeable for p in first.params)
-        cache = FitCache()
+        cache = Memo()
         again = train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
         assert len(trainings) == 2
         assert param_bytes(again) == param_bytes(first)
@@ -456,7 +431,7 @@ class TestFitCache:
         assert len(trainings) == 3
 
     def test_equal_calls_on_two_threads_return_equal_models(self, trainings):
-        cache = FitCache()
+        cache = Memo()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -469,53 +444,8 @@ class TestFitCache:
             sys.setswitchinterval(interval)
         assert all(m is models[0] for m in models)
         assert len(trainings) == 1
-        assert len(cache._models) == 1
-
-    @pytest.mark.parametrize("outcome", ["model", "error"])
-    def test_equal_call_waits_for_the_fit_in_progress(self, monkeypatch, outcome):
-        """A second equal call, made while the first trains, gets the first
-        call's model (or error) without training; only a model is kept."""
-        started, release, waiting = (threading.Event() for _ in range(3))
-        trained = []
-        real = downstream_mod._fit
-
-        def blocked(*args):
-            trained.append(1)
-            started.set()
-            assert release.wait(60)
-            if outcome == "error":
-                raise ValidationError("induced failure")
-            return real(*args)
-
-        class Watched(Future):
-            def result(self, timeout=None):
-                waiting.set()
-                return super().result(timeout)
-
-        monkeypatch.setattr(downstream_mod, "_fit", blocked)
-        monkeypatch.setattr(downstream_mod, "Future", Watched)
-        cache = FitCache()
-
-        def call():
-            try:
-                return train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache)
-            except ValidationError as e:
-                return e
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            try:
-                first = pool.submit(call)
-                assert started.wait(60)
-                second = pool.submit(call)
-                assert waiting.wait(60)
-            finally:
-                release.set()
-            results = [first.result(timeout=60), second.result(timeout=60)]
-        assert trained == [1]
-        assert results[0] is results[1]
-        assert isinstance(results[0], ValidationError) == (outcome == "error")
-        assert len(cache._models) == (outcome == "model")
-        assert not cache._training
+        assert train_pair_classifier(*fit_inputs(), **FIT_SETTINGS, cache=cache) is models[0]
+        assert len(trainings) == 1
 
     def test_target_independent_matrix_trains_each_source_seed_once(
             self, trainings, monkeypatch):
@@ -528,6 +458,6 @@ class TestFitCache:
 
         monkeypatch.setattr(downstream_mod, "train_pair_classifier", counted)
         cross_domain_matrix("ABC", domain_data("ABC", sizes=(30, 12, 12)), "none", (0, 1),
-                            cache=FitCache(), hidden=(4, 4), max_epochs=2)
+                            cache=Memo(), hidden=(4, 4), max_epochs=2)
         assert len(calls) == 18
         assert len(trainings) == 6

@@ -40,9 +40,11 @@ class TestTraining:
     def test_margin_is_sum_of_scaled_trees(self):
         x, y = separable_1d()
         model = gbdt_train(x, y, GBDTParams(trees=5, depth=2))
-        partial = model.predict_margin(x, n_trees=2)
         full = model.predict_margin(x)
-        assert not np.allclose(partial, full)
+        per_tree = [GBDTModel([tree], model.learning_rate, 1).predict_margin(x)
+                    for tree in model.trees]
+        assert np.allclose(full, np.sum(per_tree, axis=0))
+        assert not np.allclose(per_tree[0] + per_tree[1], full)
         assert np.allclose(model.predict_proba(x), 1 / (1 + np.exp(-full)))
 
     def test_deterministic(self):

@@ -10,7 +10,6 @@ from domainsel.ngram_lm import (
     EOS,
     UNK,
     TrigramLM,
-    _train_from_token_lists,
     perplexity,
     train_kn,
 )
@@ -26,18 +25,29 @@ def corpus_of(texts, name="lmtoy"):
     return DomainCorpus(name=name, examples=examples)
 
 
+# The counts of exactly one training text "a a a", padded to <s> <s> a a a </s>.
+AAA_C2 = {(BOS, BOS): 1, (BOS, "a"): 1, ("a", "a"): 2, ("a", EOS): 1}
+AAA_C3 = {(BOS, BOS, "a"): 1, (BOS, "a", "a"): 1, ("a", "a", "a"): 1, ("a", "a", EOS): 1}
+
+
 @pytest.fixture
 def aaa_lm():
-    # Exactly one training text "a a a" (the hand-oracle setting).
-    return _train_from_token_lists([["a", "a", "a"]], min_count=1, discount=0.75)
+    # The hand-oracle setting: a model of those counts.
+    return TrigramLM(0.75, frozenset({"a", UNK, BOS, EOS}), AAA_C2, AAA_C3)
 
 
 class TestTrainKN:
     # Hand-evaluated interpolated KN, D=0.75, on the padded text
     # <s> <s> a a a </s>: vocab {a, <unk>, <s>, </s>}, 4 bigram types,
     # continuation(a)=2, so p1(a)=1.25/4 + (0.75*3/4)*(1/4) = 0.453125.
-    def test_vocab(self, aaa_lm):
-        assert aaa_lm.vocab == frozenset({"a", UNK, BOS, EOS})
+    def test_vocab(self):
+        assert train_kn(corpus_of(["a a a"])).vocab == frozenset({"a", UNK, BOS, EOS})
+
+    def test_counts_each_padded_text(self):
+        # corpus_of pairs the one text with itself: two texts "a a a".
+        lm = train_kn(corpus_of(["a a a"]))
+        assert lm.c2 == {k: 2 * c for k, c in AAA_C2.items()}
+        assert lm.c3 == {k: 2 * c for k, c in AAA_C3.items()}
 
     def test_unigram_hand_values(self, aaa_lm):
         assert aaa_lm._p1["a"] == pytest.approx(0.453125, abs=1e-12)

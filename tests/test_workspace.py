@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import domainsel
+import domainsel.workspace as workspace_mod
 from domainsel.errors import StageError, ValidationError
-from domainsel.workspace import Job, Workspace, run_stage
+from domainsel.workspace import Job, Memo, Workspace, run_stage
 
 
 def write_job(ws, rel, text="content"):
@@ -250,3 +252,79 @@ class TestHandOff:
             sys.setswitchinterval(interval)
         assert sorted(loads) == names
         assert all(r is results[i % 2] for i, r in enumerate(results))
+
+
+def must_not_make():
+    raise AssertionError("made again")
+
+
+class TestMemo:
+    """`get` makes each key's value once; a failed make leaves no entry."""
+
+    def test_equal_keys_on_two_threads_make_once(self):
+        memo = Memo()
+        made = []
+
+        def make():
+            made.append(1)
+            time.sleep(0.05)  # the other thread asks while the value is made
+            return object()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(memo.get, "k", make) for _ in range(4)]
+                values = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(v is values[0] for v in values)
+        assert made == [1]
+        assert memo.get("k", must_not_make) is values[0]
+
+    @pytest.mark.parametrize("outcome", ["value", "error"])
+    def test_equal_call_waits_for_the_value_in_progress(self, monkeypatch, outcome):
+        """A second equal call, made while the first makes its value, gets
+        the first call's value (or error) without making it; only a value is
+        kept."""
+        started, release, waiting = (threading.Event() for _ in range(3))
+        made = []
+
+        def make():
+            made.append(1)
+            started.set()
+            assert release.wait(60)
+            if outcome == "error":
+                raise ValidationError("induced failure")
+            return object()
+
+        class Watched(Future):
+            def result(self, timeout=None):
+                waiting.set()
+                return super().result(timeout)
+
+        monkeypatch.setattr(workspace_mod, "Future", Watched)
+        memo = Memo()
+
+        def call():
+            try:
+                return memo.get("k", make)
+            except ValidationError as e:
+                return e
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            try:
+                first = pool.submit(call)
+                assert started.wait(60)
+                second = pool.submit(call)
+                assert waiting.wait(60)
+            finally:
+                release.set()
+            results = [first.result(timeout=60), second.result(timeout=60)]
+        assert made == [1]
+        assert results[0] is results[1]
+        if outcome == "value":
+            assert memo.get("k", must_not_make) is results[0]
+        else:
+            assert isinstance(results[0], ValidationError)
+            assert memo.get("k", lambda: "made again") == "made again"
