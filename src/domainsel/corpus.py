@@ -2,11 +2,11 @@
 
 A domain is one corpus of (text_a, text_b, label) records with label 1 when
 the two texts are similar. Everything downstream (language models, embeddings,
-similarity features) consumes the immutable :class:`DomainCorpus` built here.
+similarity features) consumes the immutable :class:`DomainCorpus` built here
+and the tokens that each example makes on first use and keeps.
 """
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -14,6 +14,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,17 +31,10 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 def tokenize(text: str) -> list[str]:
     """Lowercase, NFC-normalize, and split on runs of non-alphanumerics.
 
-    Every stage tokenizes the same texts, so results are memoized; each
-    call returns a new list.
+    Pipeline code reads :attr:`TextPairExample.tokens`, which calls this
+    once per text.
     """
-    return list(_tokens(text))
-
-
-# Room for more than the 3,600 texts of the default world, so that a stage
-# scanning every corpus does not cycle the cache.
-@functools.lru_cache(maxsize=8192)
-def _tokens(text: str) -> tuple[str, ...]:
-    return tuple(_TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower()))
+    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
 
 
 @dataclass(frozen=True)
@@ -48,6 +42,11 @@ class TextPairExample:
     text_a: str
     text_b: str
     label: int
+
+    @cached_property
+    def tokens(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The (text_a, text_b) tokens, made on first use and kept."""
+        return tuple(tokenize(self.text_a)), tuple(tokenize(self.text_b))
 
 
 @dataclass(frozen=True)
@@ -89,11 +88,11 @@ class DomainCorpus:
 
     def texts(self, split: str | None = None) -> list[str]:
         """Both texts of every selected example, in example order."""
-        out: list[str] = []
-        for ex in self.subset(split):
-            out.append(ex.text_a)
-            out.append(ex.text_b)
-        return out
+        return [text for ex in self.subset(split) for text in (ex.text_a, ex.text_b)]
+
+    def tokens(self, split: str | None = None) -> list[tuple[str, ...]]:
+        """The tokens of each text of :meth:`texts`, in the same order."""
+        return [toks for ex in self.subset(split) for toks in ex.tokens]
 
     def labels(self, split: str | None = None) -> list[int]:
         return [self.examples[i].label for i in self.indices(split)]
@@ -229,7 +228,7 @@ def load_domain(path, format: str, name: str, binarize_threshold: float | None =
     rejected = 0
     for lineno, rec in records:
         ex = _record_to_example(rec, binarize_threshold, f"{path}: line {lineno}")
-        if not tokenize(ex.text_a) or not tokenize(ex.text_b):
+        if not all(ex.tokens):
             rejected += 1
             continue
         examples.append(ex)
@@ -242,17 +241,14 @@ def load_domain(path, format: str, name: str, binarize_threshold: float | None =
 
 def unigram_stats(corpus: DomainCorpus, split_filter: str | None = None) -> UnigramStats:
     """Aggregate token counts over both texts of each selected example."""
-    examples = corpus.subset(split_filter)
-    if not examples:
+    token_lists = corpus.tokens(split_filter)
+    if not token_lists:
         raise ValidationError(
             f"corpus '{corpus.name}': no examples under split filter {split_filter!r}"
         )
-    counts: Counter[str] = Counter()
-    for ex in examples:
-        counts.update(tokenize(ex.text_a))
-        counts.update(tokenize(ex.text_b))
+    counts = Counter(t for toks in token_lists for t in toks)
     total = sum(counts.values())
-    n = len(examples)
+    n = len(token_lists) // 2
     return UnigramStats(
         counts=dict(counts),
         total_tokens=total,

@@ -10,11 +10,12 @@ the mean of a trained table's word vectors.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import DomainCorpus, tokenize
+from .corpus import DomainCorpus
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -60,9 +61,9 @@ class EmbeddingTable:
         except KeyError:
             raise ValidationError(f"token {token!r} not in embedding table") from None
 
-    def sentence_vector(self, text: str) -> np.ndarray:
-        """Mean vector of the text's in-table tokens; zeros when none match."""
-        token_ids = [self._index[t] for t in tokenize(text) if t in self._index]
+    def sentence_vector(self, tokens) -> np.ndarray:
+        """Mean vector of a text's in-table tokens; zeros when none match."""
+        token_ids = [self._index[t] for t in tokens if t in self._index]
         if not token_ids:
             return np.zeros(self.dim)
         # Canonical accumulation order makes this exactly permutation-invariant.
@@ -191,11 +192,8 @@ def train_skipgram(
     k independent sets. Each center's terms take its own step of a schedule
     that decays linearly from 0.025 to 0.0001 over all center words.
     """
-    token_lists = [tokenize(t) for t in corpus.texts(corpus.train_split)]
-    counts: dict[str, int] = {}
-    for toks in token_lists:
-        for t in toks:
-            counts[t] = counts.get(t, 0) + 1
+    token_lists = corpus.tokens(corpus.train_split)
+    counts = Counter(t for toks in token_lists for t in toks)
     vocab = sorted(counts)
     if len(vocab) < 2:
         raise ValidationError(f"skipgram needs >= 2 distinct tokens, got {len(vocab)}")

@@ -11,7 +11,7 @@ import logging
 import math
 from collections import Counter
 
-from .corpus import DomainCorpus, tokenize
+from .corpus import DomainCorpus
 from .errors import ValidationError
 
 log = logging.getLogger(__name__)
@@ -133,13 +133,10 @@ class TrigramLM:
 
 def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:
     """Train on the corpus train split (the whole corpus if unsplit)."""
-    texts = corpus.texts(corpus.train_split)
-    if not texts:
+    token_lists = corpus.tokens(corpus.train_split)
+    if not token_lists:
         raise ValidationError(f"corpus '{corpus.name}': empty training text set")
-    token_lists = [tokenize(t) for t in texts]
-    raw: Counter = Counter()
-    for toks in token_lists:
-        raw.update(toks)
+    raw = Counter(t for toks in token_lists for t in toks)
     if not raw:
         raise ValidationError("no training tokens")
     vocab = frozenset(w for w, c in raw.items() if c >= min_count) | {UNK, BOS, EOS}
@@ -162,12 +159,12 @@ def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -
 
 def perplexity(lm: TrigramLM, corpus: DomainCorpus, split: str | None = None) -> float:
     """PPL = 2^(-(1/N) Σ log2 p), N counting every token plus </s>, not <s>."""
-    texts = corpus.texts(split)
-    if not texts:
+    token_lists = corpus.tokens(split)
+    if not token_lists:
         raise ValidationError(f"corpus '{corpus.name}': nothing to evaluate")
     log2_probs: list[float] = []
-    for text in texts:
-        seq = [BOS, BOS] + [lm.map_token(w) for w in tokenize(text)] + [EOS]
+    for toks in token_lists:
+        seq = [BOS, BOS] + [lm.map_token(w) for w in toks] + [EOS]
         for i in range(2, len(seq)):
             log2_probs.append(math.log2(lm.prob(seq[i - 2], seq[i - 1], seq[i])))
     # fsum keeps the average exactly invariant under corpus duplication.

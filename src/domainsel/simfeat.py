@@ -3,7 +3,8 @@
 f1/f2 unigram coverage ratios, f3/f4 labeled example counts, f5/f6 average
 tokens per text, f7 Renyi divergence, f8 KL divergence, f9 perplexity of the
 source-trained trigram model on target text, f10 mean L1 distance between
-the domains' word vectors over the shared vocabulary.
+the domains' word vectors over the shared vocabulary (0.0, with a warning,
+when the two domains share no token).
 
 Divergences are taken target-from-source (how well the source covers the
 target), base 2, on additively smoothed distributions over the union
@@ -183,7 +184,10 @@ def feature_vector(
     f9 = perplexity(source_lm, target, split_t)
     shared = stats_s.support & stats_t.support
     shared = {t for t in shared if t in source_table and t in target_table}
-    f10 = word_vector_variance(source_table, target_table, shared)
+    if not shared:
+        log.warning("features %s -> %s: no shared token has both word vectors; "
+                    "f10 is 0.0", source.name, target.name)
+    f10 = word_vector_variance(source_table, target_table, shared) if shared else 0.0
 
     return FeatureVector(
         f1=f1,

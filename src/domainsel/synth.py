@@ -125,11 +125,6 @@ def synth_domain(spec: SyntheticSpec, name: str) -> DomainCorpus:
     return DomainCorpus(name=name, examples=tuple(examples))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> dict:
-    """All domains of the spec, keyed by name."""
-    return {name: synth_domain(spec, name) for name in spec.domains}
-
-
 def synth_names(n_domains: int) -> tuple:
     """The names of the first n synthetic domains."""
     return tuple(f"syn{i:02d}" for i in range(n_domains))

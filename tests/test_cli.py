@@ -18,6 +18,7 @@ from domainsel.cli import main
 from domainsel.config import load_config, resolve_config, validate_config
 from domainsel.downstream import load_f1_matrix, success_labels
 from domainsel.pipeline import run_pipeline
+from domainsel.simfeat import load_feature_matrix
 from domainsel.synth import SyntheticSpec, synth_domain
 from domainsel.workspace import Memo, Workspace
 
@@ -533,9 +534,9 @@ def test_embed_reads_global_table_once(tmp_path, monkeypatch):
         loads.append(Path(path).name)
         return real_load(cls, path, domain)
 
-    def checked_pool(self, text):
+    def checked_pool(self, tokens):
         writeable.append(self.matrix.flags.writeable)
-        return real_pool(self, text)
+        return real_pool(self, tokens)
 
     monkeypatch.setattr(EmbeddingTable, "load", classmethod(counted_load))
     monkeypatch.setattr(EmbeddingTable, "sentence_vector", checked_pool)
@@ -671,13 +672,16 @@ class TestErrors:
         ({"features": {"alpha": 1.0}}, "features.alpha"),
         ({"data": {"synth": {"noise": 1.0}}}, "data.synth.noise"),
         ({"data": {"synth": {"examples_per_domain": 5}}}, "data.synth.examples_per_domain"),
+        ({"data": {"synth": {"examples_per_domain": 6}}}, "data.synth.examples_per_domain"),
+        ({"data": {"synth": {"examples_per_domain": 12}}}, "data.synth.examples_per_domain"),
         ({"data": {"split_ratios": [1.0, 0.0, 0.0]}}, "data.split_ratios"),
         ({"data": {"split_ratios": [0.5, 0.2, 0.2]}}, "data.split_ratios"),
     ], ids=["negative_seed", "repeated_seed", "negative_lr", "negative_epochs",
             "zero_patience", "zero_sda_lr", "zero_dim", "zero_layers", "full_dropout",
             "zero_trees", "discount_above_1", "zero_window", "negative_negatives",
             "negative_embed_epochs", "negative_sda_epochs", "alpha_1", "full_noise",
-            "five_examples", "empty_split", "ratios_sum_below_1"])
+            "five_examples", "six_examples_no_val", "twelve_examples_no_test",
+            "empty_split", "ratios_sum_below_1"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, edit, key):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(merged(tiny_world(2), edit)))
@@ -686,6 +690,13 @@ class TestErrors:
         assert rc == 1
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not ws.exists()
+
+    def test_thirteen_examples_fill_every_split(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            merged(tiny_world(2), {"data": {"synth": {"examples_per_domain": 13}}})))
+        assert main(["downstream", "--workspace", str(tmp_path / "ws"),
+                     "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
@@ -792,6 +803,19 @@ class TestErrors:
         assert len(list((tmp_path / "ws" / "lms").glob("*.txt"))) == 6
 
 
+def export_jsonl(spec: SyntheticSpec, root: Path) -> list:
+    """Write each domain of the spec to root/<name>.jsonl; return the sources."""
+    sources = []
+    for name in spec.domains:
+        path = root / f"{name}.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for ex in synth_domain(spec, name).examples:
+                f.write(json.dumps({"text_a": ex.text_a, "text_b": ex.text_b,
+                                    "label": ex.label}) + "\n")
+        sources.append({"name": name, "path": str(path), "format": "jsonl"})
+    return sources
+
+
 @pytest.fixture(scope="module")
 def jsonl_world(tmp_path_factory):
     """Three jsonl corpora exported from a tiny generated world."""
@@ -809,18 +833,9 @@ def jsonl_world(tmp_path_factory):
         noise=0.05,
         seed=17,
     )
-    sources = []
-    for name in spec.domains:
-        corpus = synth_domain(spec, name)
-        path = root / f"{name}.jsonl"
-        with open(path, "w", encoding="utf-8") as f:
-            for ex in corpus.examples:
-                f.write(json.dumps({"text_a": ex.text_a, "text_b": ex.text_b,
-                                    "label": ex.label}) + "\n")
-        sources.append({"name": name, "path": str(path), "format": "jsonl"})
     cfg = {
         "seed": 5,
-        "data": {"mode": "ingest", "sources": sources},
+        "data": {"mode": "ingest", "sources": export_jsonl(spec, root)},
         "embed": {"dim": 8, "epochs": 2},
         "adapt": {"variants": ["none"]},
         "downstream": {"seeds": [0], "max_epochs": 20, "hidden": [16, 8],
@@ -840,6 +855,27 @@ class TestIngest:
         assert sorted(p.stem for p in (ws / "corpora").glob("*.json")) == \
             ["chat", "law", "news"]
         assert (ws / "downstream" / "f1_none_mean.csv").exists()
+
+    def test_disjoint_vocabularies_give_zero_f10(self, tmp_path, caplog):
+        """Domains that share no token have no word vector to compare: the
+        features stage sets f10 to 0.0 and names the pair in a warning."""
+        spec = SyntheticSpec(
+            domains=("left", "right"),
+            topics=tuple(tuple(f"{w}{i}" for i in range(10))
+                         for w in ("alpha", "beta", "gamma", "delta")),
+            mixtures=((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5)),
+            examples_per_domain=30, tokens_per_text=6, noise=0.0, seed=3,
+        )
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"data": {"mode": "ingest",
+                                            "sources": export_jsonl(spec, tmp_path)},
+                                   "embed": {"dim": 4, "epochs": 1}}))
+        ws = tmp_path / "ws"
+        with caplog.at_level(logging.WARNING, logger="domainsel.simfeat"):
+            assert main(["features", "--workspace", str(ws), "--config", str(cfg)]) == 0
+        features = load_feature_matrix(ws / "features" / "features.csv")
+        assert features[("left", "right")].f10 == features[("right", "left")].f10 == 0.0
+        assert "left -> right" in caplog.text and "right -> left" in caplog.text
 
     def test_missing_source_file_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -1,10 +1,13 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from domainsel import corpus as corpus_mod
 from domainsel.corpus import (
+    SPLITS,
     DomainCorpus,
     TextPairExample,
     load_domain,
@@ -12,7 +15,9 @@ from domainsel.corpus import (
     tokenize,
     unigram_stats,
 )
+from domainsel.embed import train_skipgram
 from domainsel.errors import ValidationError
+from domainsel.ngram_lm import perplexity, train_kn
 
 
 def make_corpus(n_pos, n_neg, name="toy"):
@@ -164,6 +169,38 @@ class TestCorpusContainer:
     def test_mismatched_splits_rejected(self):
         with pytest.raises(ValidationError, match="splits length"):
             DomainCorpus("x", (TextPairExample("a", "b", 1),), splits=("train", "val"))
+
+
+class TestKeptTokens:
+    def test_tokens_align_with_texts(self):
+        unsplit = make_corpus(13, 11)
+        for corpus, selections in ((unsplit, [None]),
+                                   (split(unsplit, seed=4), [None, *SPLITS])):
+            for name in selections:
+                want = [tuple(tokenize(t)) for t in corpus.texts(name)]
+                assert corpus.tokens(name) == want
+
+    def test_each_text_tokenized_once_past_8192_texts(self, monkeypatch):
+        """Every text layer reads the tokens kept on the example, so no corpus
+        size makes a text tokenize twice."""
+        calls: Counter = Counter()
+        real = corpus_mod._TOKEN_RE
+
+        class CountingPattern:
+            def findall(self, text):
+                calls[text] += 1
+                return real.findall(text)
+
+        monkeypatch.setattr(corpus_mod, "_TOKEN_RE", CountingPattern())
+        corpus = DomainCorpus("big", tuple(
+            TextPairExample(f"w{i % 50} a{i} shared", f"w{i * 7 % 50} b{i} shared", i % 2)
+            for i in range(4200)
+        ))
+        unigram_stats(corpus)
+        perplexity(train_kn(corpus), corpus)
+        train_skipgram(corpus, dim=2, epochs=0)
+        assert len(calls) == 8400
+        assert set(calls.values()) == {1}
 
 
 class TestUnigramStats:

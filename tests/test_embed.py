@@ -259,19 +259,19 @@ class TestMeanPooled:
 
     def test_repeated_token_is_its_vector(self):
         table = self.make_table()
-        np.testing.assert_array_equal(table.sentence_vector("a a"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.sentence_vector(tokenize("a a")), [1.0, 0.0])
 
     def test_mean_of_two(self):
         table = self.make_table()
-        np.testing.assert_array_equal(table.sentence_vector("a b"), [0.5, 0.5])
+        np.testing.assert_array_equal(table.sentence_vector(tokenize("a b")), [0.5, 0.5])
 
     def test_oov_skipped(self):
         table = self.make_table()
-        np.testing.assert_array_equal(table.sentence_vector("a zzz"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.sentence_vector(tokenize("a zzz")), [1.0, 0.0])
 
     def test_all_oov_zero_vector(self):
         table = self.make_table()
-        np.testing.assert_array_equal(table.sentence_vector("zzz qqq"), [0.0, 0.0])
+        np.testing.assert_array_equal(table.sentence_vector(tokenize("zzz qqq")), [0.0, 0.0])
 
     def test_permutation_invariance_exact(self):
         table = EmbeddingTable(
@@ -281,12 +281,12 @@ class TestMeanPooled:
             matrix=np.random.default_rng(0).normal(size=(7, 3)),
         )
         words = list("a b c d e f g a b c".split())
-        base = table.sentence_vector(" ".join(words))
+        base = table.sentence_vector(tokenize(" ".join(words)))
         rng = np.random.default_rng(1)
         for _ in range(10):
             rng.shuffle(words)
             np.testing.assert_array_equal(
-                table.sentence_vector(" ".join(words)), base
+                table.sentence_vector(tokenize(" ".join(words))), base
             )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -302,6 +302,6 @@ class TestMeanPooled:
         ]
         texts += ["", "w35 w39 w30", "w31"]  # no in-table token at all
         for text in texts:
-            got = table.sentence_vector(text)
+            got = table.sentence_vector(tokenize(text))
             want = embed_sentence_reference(table, text)
             assert got.tobytes() == want.tobytes(), text

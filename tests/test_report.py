@@ -304,7 +304,8 @@ class TestPCA:
         X = rng.normal(size=(200, 2)) * np.array([5.0, 1.0])
         path = tmp_path / "pca.csv"
         pca_export(X[:100], X[100:], path, "s", "t")
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["domain", "x", "y"]
         assert len(rows) == 201
         coords = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])

@@ -10,7 +10,6 @@ from domainsel.simfeat import kl_divergence, smoothed_pair
 from domainsel.synth import (
     SyntheticSpec,
     child_seed,
-    generate_synthetic,
     mixture_overlap,
     spec_from_config,
     synth_domain,
@@ -107,8 +106,8 @@ class TestGeneration:
         assert a.to_json() != b.to_json()
 
     def test_generate_covers_every_domain(self):
-        world = generate_synthetic(two_topic_spec())
-        assert sorted(world) == ["alpha", "beta"]
+        spec = two_topic_spec()
+        assert [synth_domain(spec, name).name for name in spec.domains] == ["alpha", "beta"]
 
     def test_tokens_come_from_topic_vocab_without_noise(self):
         spec = two_topic_spec(noise=0.0)
@@ -144,26 +143,24 @@ class TestDivergenceSignal:
             examples_per_domain=500,
             noise=0.0,
         )
-        world = generate_synthetic(spec)
         p, q = smoothed_pair(
-            unigram_stats(world["beta"]), unigram_stats(world["alpha"])
+            unigram_stats(synth_domain(spec, "beta")), unigram_stats(synth_domain(spec, "alpha"))
         )
         assert kl_divergence(p, q) < 0.1
 
     def test_disjoint_vocabs_give_zero_coverage(self):
         spec = two_topic_spec(mixtures=((1.0, 0.0), (0.0, 1.0)), noise=0.0)
-        world = generate_synthetic(spec)
-        sa = unigram_stats(world["alpha"]).support
-        sb = unigram_stats(world["beta"]).support
+        sa = unigram_stats(synth_domain(spec, "alpha")).support
+        sb = unigram_stats(synth_domain(spec, "beta")).support
         assert not (sa & sb)
 
     def test_shared_mixture_beats_disjoint_on_kl(self):
         near = two_topic_spec(mixtures=((0.5, 0.5), (0.5, 0.5)), examples_per_domain=300)
         far = two_topic_spec(mixtures=((1.0, 0.0), (0.0, 1.0)), examples_per_domain=300)
         def kl_of(spec):
-            world = generate_synthetic(spec)
             p, q = smoothed_pair(
-                unigram_stats(world["beta"]), unigram_stats(world["alpha"])
+                unigram_stats(synth_domain(spec, "beta")),
+                unigram_stats(synth_domain(spec, "alpha")),
             )
             return kl_divergence(p, q)
         assert kl_of(near) < kl_of(far)
