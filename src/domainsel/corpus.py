@@ -268,7 +268,11 @@ def _allocate(n: int, ratios) -> list[int]:
 
 
 def split(corpus: DomainCorpus, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> DomainCorpus:
-    """Assign train/val/test splits, stratified by label, deterministic in seed."""
+    """Assign train/val/test splits, stratified by label, deterministic in seed.
+
+    Every split gets at least one example; a corpus too small for that is
+    rejected.
+    """
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValidationError(f"ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -294,4 +298,8 @@ def split(corpus: DomainCorpus, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> Domain
             for i in idx[pos : pos + quota]:
                 assignment[int(i)] = split_name
             pos += quota
+    for split_name in SPLITS:
+        if split_name not in assignment:
+            raise ValidationError(f"corpus '{corpus.name}': {len(assignment)} examples "
+                                  f"leave the '{split_name}' split empty")
     return DomainCorpus(name=corpus.name, examples=corpus.examples, splits=tuple(assignment))

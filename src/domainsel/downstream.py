@@ -167,7 +167,7 @@ def train_pair_classifier(
         raise ValidationError(
             f"training rows {X_train.shape} and validation rows {X_val.shape} differ in width"
         )
-    classes = set(np.unique(y_train))
+    classes = set(y_train.tolist())
     if classes != {0.0, 1.0}:
         raise ValidationError(f"training set must contain both classes, got {classes}")
 

@@ -177,7 +177,7 @@ def _check_training_inputs(X, y):
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(X) < 2:
         raise ValidationError(f"need >= 2 aligned rows, got X {X.shape}, y {y.shape}")
-    if set(np.unique(y)) != {0.0, 1.0}:
+    if set(y.tolist()) != {0.0, 1.0}:
         raise ValidationError("training labels must contain both classes")
     return X, y
 

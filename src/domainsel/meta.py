@@ -130,7 +130,7 @@ def _fit_and_score(rows, split: LotoSplit, params: GBDTParams, feature_names):
     """
     X = np.array([rows[key][0] for key in split.train])
     y = np.array([float(rows[key][1]) for key in split.train])
-    if len(np.unique(y)) == 1:
+    if len(set(y.tolist())) == 1:
         model = GBDTModel([], params.learning_rate, X.shape[1], feature_names)
     else:
         model = gbdt_train_cv(X, y, params, feature_names=feature_names)

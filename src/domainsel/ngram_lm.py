@@ -4,12 +4,22 @@ Single discount D at orders 3 and 2, continuation counts at the unigram
 level, and a uniform 1/|vocab| floor below that, so every query has positive
 probability. Texts are padded with two <s> and one </s>; rare training
 tokens and evaluation OOVs map to <unk>.
+
+The model stores n-grams as sorted int64 keys over token ids. A token's id
+is its position in ``sorted(vocab)``, and an n-gram's key is its ids read as
+the digits of a base-|vocab| number: ``v*V + w`` and ``(u*V + v)*V + w``.
+Numeric key order is therefore the tuple order of the token strings, which
+is the order of the count file's lines.
 """
 from __future__ import annotations
 
 import logging
 import math
 from collections import Counter
+from collections.abc import Mapping
+from itertools import chain
+
+import numpy as np
 
 from .corpus import DomainCorpus
 from .errors import ValidationError
@@ -22,80 +32,146 @@ EOS = "</s>"
 
 _HEADER_PREFIX = "kn-trigram"
 
+# The largest vocabulary V whose V**3, and so every trigram key, fits in int64.
+MAX_VOCAB = 2**21 - 1
+
+
+def token_ids(vocab) -> dict[str, int]:
+    """Each token's position in sorted(vocab): the ids that keys are made of."""
+    if len(vocab) > MAX_VOCAB:
+        raise ValidationError(
+            f"vocabulary of {len(vocab)} tokens exceeds {MAX_VOCAB}, the most "
+            "whose trigram keys fit in int64"
+        )
+    return {tok: i for i, tok in enumerate(sorted(vocab))}
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _find(keys, queries):
+    """Index of each query in the sorted keys, and whether it is there."""
+    i = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return i, keys[i] == queries
+
+
+class _Level:
+    """One interpolated order: counts of sorted keys, and per history (key // V)
+    the total count `den` and the number of distinct continuations `types`."""
+
+    def __init__(self, keys, counts, V: int):
+        self.keys, self.counts = keys, counts
+        self.hist, first = np.unique(keys // V, return_index=True)
+        self.den = np.add.reduceat(counts, first)
+        self.types = np.diff(first, append=len(keys))
+        self.V = V
+        _frozen(keys, counts, self.hist, self.den, self.types)
+
+    def interpolate(self, keys, lower, discount: float):
+        """p = max(c - D, 0)/den + (D*types/den) * lower, or lower when the
+        history has no count."""
+        i, seen = _find(self.hist, keys // self.V)
+        den = np.where(seen, self.den[i], 0)
+        types = np.where(seen, self.types[i], 0)
+        j, found = _find(self.keys, keys)
+        count = np.where(found, self.counts[j], 0)
+        safe = np.where(den == 0, 1, den)
+        num = np.maximum(count - discount, 0.0)
+        lam = discount * types / safe
+        return np.where(den == 0, lower, num / safe + lam * lower)
+
+
+class _Counts(Mapping):
+    """Read-only (token, ...) -> count view of one order's key array."""
+
+    def __init__(self, lm: "TrigramLM", keys, counts, n: int):
+        self._lm, self._keys, self._counts, self._n = lm, keys, counts, n
+
+    def __getitem__(self, gram):
+        if not isinstance(gram, tuple) or len(gram) != self._n:
+            raise KeyError(gram)
+        key = 0
+        for tok in gram:
+            key = key * self._lm.V + self._lm._ids[tok]
+        i, found = _find(self._keys, key)
+        if not found:
+            raise KeyError(gram)
+        return int(self._counts[i])
+
+    def __iter__(self):
+        return self._lm._grams(self._keys, self._n)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
 
 class TrigramLM:
-    """Immutable after construction; safe for concurrent scoring."""
+    """Immutable after construction; safe for concurrent scoring.
 
-    def __init__(self, discount: float, vocab: frozenset[str], c2, c3):
+    `ids` maps each vocabulary token to its position in the sorted
+    vocabulary (see `token_ids`); `bigrams` and `trigrams` are (sorted
+    unique keys, counts) pairs of int64 arrays over those ids.
+    """
+
+    def __init__(self, discount: float, ids: dict[str, int], bigrams, trigrams):
         if not 0.0 < discount < 1.0:
             raise ValidationError(f"discount must be in (0, 1), got {discount}")
+        keys2, keys3 = bigrams[0], trigrams[0]
+        if not (len(keys2) and len(keys3)):
+            raise ValidationError("kn-trigram model needs bigram and trigram counts")
         self.discount = discount
-        self.vocab = vocab
-        self.c2 = dict(c2)
-        self.c3 = dict(c3)
-        self._build_derived()
-
-    def _build_derived(self) -> None:
-        D = self.discount
+        self.vocab = frozenset(ids)
+        self._ids = ids
+        self.V = V = len(ids)
+        self._bigrams, self._trigrams = _frozen(*bigrams), trigrams
         # Trigram level: history strength = how often the bigram history is
         # actually continued (histories seen only text-finally back off fully).
-        self._den3: Counter = Counter()
-        self._types3: Counter = Counter()
-        for (u, v, w), c in self.c3.items():
-            self._den3[(u, v)] += c
-            self._types3[(u, v)] += 1
+        self._trigram = _Level(*trigrams, V)
         # Bigram level uses continuation counts: distinct left contexts.
-        self._cont2: Counter = Counter()
-        for (u, v, w) in self.c3:
-            self._cont2[(v, w)] += 1
-        self._den2: Counter = Counter()
-        self._types2: Counter = Counter()
-        for (v, w), c in self._cont2.items():
-            self._den2[v] += c
-            self._types2[v] += 1
+        self._bigram = _Level(*np.unique(keys3 % (V * V), return_counts=True), V)
         # Unigram continuation counts over bigram types.
-        cont1: Counter = Counter()
-        for (v, w) in self.c2:
-            cont1[w] += 1
-        bigram_types = sum(cont1.values())
-        t1 = len(cont1)
-        floor = 1.0 / len(self.vocab)
-        lam1 = D * t1 / bigram_types
-        self._p1 = {
-            w: max(cont1.get(w, 0) - D, 0.0) / bigram_types + lam1 * floor
-            for w in self.vocab
-        }
+        cont1 = np.bincount(keys2 % V, minlength=V)
+        bigram_types = len(keys2)
+        lam1 = discount * np.count_nonzero(cont1) / bigram_types
+        self._p1, = _frozen(np.maximum(cont1 - discount, 0.0) / bigram_types + lam1 * (1.0 / V))
 
-    def map_token(self, token: str) -> str:
-        return token if token in self.vocab else UNK
+    @property
+    def c2(self) -> Mapping:
+        return _Counts(self, *self._bigrams, 2)
 
-    def _p2(self, v: str, w: str) -> float:
-        den = self._den2.get(v, 0)
-        if den == 0:
-            return self._p1[w]
-        num = max(self._cont2.get((v, w), 0) - self.discount, 0.0)
-        lam = self.discount * self._types2[v] / den
-        return num / den + lam * self._p1[w]
+    @property
+    def c3(self) -> Mapping:
+        return _Counts(self, *self._trigrams, 3)
+
+    def _grams(self, keys, n: int):
+        """The token tuple of each n-gram key, in key order."""
+        tokens = list(self._ids)  # in id order, which is sorted order
+        columns = [(keys // self.V**k % self.V).tolist() for k in range(n - 1, -1, -1)]
+        return zip(*([tokens[i] for i in column] for column in columns))
+
+    def _probs(self, keys):
+        """p(w | u, v) for each trigram key (u*V + v)*V + w."""
+        V, D = self.V, self.discount
+        p2 = self._bigram.interpolate(keys % (V * V), self._p1[keys % V], D)
+        return self._trigram.interpolate(keys, p2, D)
 
     def prob(self, u: str, v: str, w: str) -> float:
         """p(w | u, v); tokens must already be mapped into the vocab."""
-        den = self._den3.get((u, v), 0)
-        if den == 0:
-            return self._p2(v, w)
-        num = max(self.c3.get((u, v, w), 0) - self.discount, 0.0)
-        lam = self.discount * self._types3[(u, v)] / den
-        return num / den + lam * self._p2(v, w)
+        ids = self._ids
+        return float(self._probs(np.array([(ids[u] * self.V + ids[v]) * self.V + ids[w]]))[0])
 
     def save(self, path) -> None:
         """Sorted plain-text count file; reload reproduces scores exactly."""
+        lines = [f"{_HEADER_PREFIX} D={self.discount!r} vocab={self.V}\n"]
+        lines += [f"v {tok}\n" for tok in self._ids]
+        for n, (keys, counts) in ((2, self._bigrams), (3, self._trigrams)):
+            lines += [f"{n} {' '.join(gram)} {c}\n"
+                      for gram, c in zip(self._grams(keys, n), counts.tolist())]
         with open(path, "w", encoding="utf-8") as f:
-            f.write(f"{_HEADER_PREFIX} D={self.discount!r} vocab={len(self.vocab)}\n")
-            for tok in sorted(self.vocab):
-                f.write(f"v {tok}\n")
-            for (v, w), c in sorted(self.c2.items()):
-                f.write(f"2 {v} {w} {c}\n")
-            for (u, v, w), c in sorted(self.c3.items()):
-                f.write(f"3 {u} {v} {w} {c}\n")
+            f.write("".join(lines))
 
     @classmethod
     def load(cls, path) -> "TrigramLM":
@@ -111,24 +187,66 @@ class TrigramLM:
             discount = float(header[1][2:])
             vocab_size = int(header[2][6:])
             vocab = set()
-            c2: dict = {}
-            c3: dict = {}
+            rows: dict[int, list] = {2: [], 3: []}
             for lineno, line in enumerate(f, start=2):
                 fields = line.rstrip("\n").split(" ")
                 kind = fields[0]
                 if kind == "v" and len(fields) == 2:
                     vocab.add(fields[1])
-                elif kind == "2" and len(fields) == 4:
-                    c2[(fields[1], fields[2])] = int(fields[3])
-                elif kind == "3" and len(fields) == 5:
-                    c3[(fields[1], fields[2], fields[3])] = int(fields[4])
+                elif kind in ("2", "3") and len(fields) == int(kind) + 2:
+                    rows[int(kind)].append((lineno, fields))
                 else:
                     raise ValidationError(f"{path}: line {lineno}: malformed entry")
         if len(vocab) != vocab_size:
             raise ValidationError(
                 f"{path}: header claims {vocab_size} vocab entries, found {len(vocab)}"
             )
-        return cls(discount, frozenset(vocab), c2, c3)
+        if not {UNK, BOS, EOS} <= vocab:
+            raise ValidationError(f"{path}: vocab lacks {UNK}, {BOS} or {EOS}")
+        ids = token_ids(vocab)
+
+        def parse(n):
+            keys = np.empty(len(rows[n]), dtype=np.int64)
+            counts = np.empty(len(rows[n]), dtype=np.int64)
+            for j, (lineno, fields) in enumerate(rows[n]):
+                try:
+                    key = 0
+                    for tok in fields[1:-1]:
+                        key = key * vocab_size + ids[tok]
+                    keys[j], counts[j] = key, int(fields[-1])
+                except (KeyError, ValueError, OverflowError):
+                    raise ValidationError(f"{path}: line {lineno}: malformed entry") from None
+                if j and key <= keys[j - 1]:
+                    raise ValidationError(
+                        f"{path}: line {lineno}: entry out of order or repeated")
+            return keys, counts
+
+        return cls(discount, ids, parse(2), parse(3))
+
+
+def _padded(ids: dict[str, int], token_lists):
+    """Ids of every text padded to <s> <s> ... </s>, end to end, and the
+    offset where each text starts."""
+    unk, bos, eos = ids[UNK], ids[BOS], ids[EOS]
+    flat = np.fromiter(
+        chain.from_iterable((bos, bos, *[ids.get(t, unk) for t in toks], eos)
+                            for toks in token_lists),
+        dtype=np.int64,
+    )
+    lengths = np.array([len(toks) + 3 for toks in token_lists], dtype=np.int64)
+    return flat, np.cumsum(lengths) - lengths
+
+
+def _ngram_keys(flat, starts, V: int, n: int):
+    """Key of every n-gram inside one padded text, in text order."""
+    inside = np.ones(len(flat), dtype=bool)
+    for k in range(n - 1):
+        inside[starts + k] = False
+    ends = np.flatnonzero(inside)
+    keys = flat[ends - (n - 1)]
+    for k in range(n - 2, -1, -1):
+        keys = keys * V + flat[ends - k]
+    return keys
 
 
 def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -> TrigramLM:
@@ -139,20 +257,14 @@ def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -
     raw = Counter(t for toks in token_lists for t in toks)
     if not raw:
         raise ValidationError("no training tokens")
-    vocab = frozenset(w for w, c in raw.items() if c >= min_count) | {UNK, BOS, EOS}
-
-    c2: Counter = Counter()
-    c3: Counter = Counter()
-    for toks in token_lists:
-        seq = [BOS, BOS] + [w if w in vocab else UNK for w in toks] + [EOS]
-        for i in range(1, len(seq)):
-            c2[(seq[i - 1], seq[i])] += 1
-        for i in range(2, len(seq)):
-            c3[(seq[i - 2], seq[i - 1], seq[i])] += 1
-    lm = TrigramLM(discount, vocab, c2, c3)
+    ids = token_ids(frozenset(w for w, c in raw.items() if c >= min_count) | {UNK, BOS, EOS})
+    flat, starts = _padded(ids, token_lists)
+    lm = TrigramLM(discount, ids,
+                   *(np.unique(_ngram_keys(flat, starts, len(ids), n), return_counts=True)
+                     for n in (2, 3)))
     log.debug(
         "trained kn-trigram for '%s': vocab=%d trigram_types=%d",
-        corpus.name, len(lm.vocab), len(lm.c3),
+        corpus.name, lm.V, len(lm.c3),
     )
     return lm
 
@@ -162,10 +274,7 @@ def perplexity(lm: TrigramLM, corpus: DomainCorpus, split: str | None = None) ->
     token_lists = corpus.tokens(split)
     if not token_lists:
         raise ValidationError(f"corpus '{corpus.name}': nothing to evaluate")
-    log2_probs: list[float] = []
-    for toks in token_lists:
-        seq = [BOS, BOS] + [lm.map_token(w) for w in toks] + [EOS]
-        for i in range(2, len(seq)):
-            log2_probs.append(math.log2(lm.prob(seq[i - 2], seq[i - 1], seq[i])))
+    flat, starts = _padded(lm._ids, token_lists)
+    probs = lm._probs(_ngram_keys(flat, starts, lm.V, 3)).tolist()
     # fsum keeps the average exactly invariant under corpus duplication.
-    return 2.0 ** (-math.fsum(log2_probs) / len(log2_probs))
+    return 2.0 ** (-math.fsum(map(math.log2, probs)) / len(probs))

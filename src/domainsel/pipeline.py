@@ -76,12 +76,12 @@ def _check_stages(cfg: dict, upto: str) -> None:
                     f"config key 'data.synth.{field}' must be >= 2, "
                     f"got {data['synth'][field]}"
                 )
-        # The embed stage pools every split. Synthetic labels alternate from
-        # 0, and split() sizes each label's share of a split on its own.
+        # split() rejects a corpus that leaves a split empty. Synthetic labels
+        # alternate from 0, and split() sizes each label's share on its own.
         n = data["synth"]["examples_per_domain"]
         quotas = [corpus_mod._allocate(k, data["split_ratios"]) for k in ((n + 1) // 2, n // 2)]
         empty = [s for s, *sizes in zip(SPLITS, *quotas) if not sum(sizes)]
-        if empty and "embed" in reached:
+        if empty:
             raise ValidationError(f"config key 'data.synth.examples_per_domain' is {n}, "
                                   f"which leaves the '{empty[0]}' split empty")
     else:
@@ -226,8 +226,6 @@ def _embed_jobs(ws: Workspace, cfg: dict) -> list:
             loaded = _read_corpus(ws, name)
             for split in SPLITS:
                 token_lists = loaded.tokens(split)
-                if not token_lists:
-                    raise ValidationError(f"domain {name} has no '{split}' examples")
                 a = np.array([table.sentence_vector(t) for t in token_lists[0::2]])
                 b = np.array([table.sentence_vector(t) for t in token_lists[1::2]])
                 for side, vectors in (("a", a), ("b", b)):

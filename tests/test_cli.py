@@ -106,6 +106,34 @@ class TestPipeline:
         assert stages == {"data", "embed", "lm", "features", "downstream",
                           "meta", "report"}
 
+    def test_parallel_run_byte_identical(self, tmp_path, monkeypatch):
+        """A --jobs 4 pipeline opens the thread pool and writes the bytes of a
+        --jobs 1 one, manifest included."""
+        import domainsel.workspace as workspace_mod
+
+        open_pool(monkeypatch)
+        pools, real = [], workspace_mod.ThreadPoolExecutor
+
+        def recorded(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(workspace_mod, "ThreadPoolExecutor", recorded)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            merged(tiny_world(6), {"adapt": {"variants": ["none", "msda"]},
+                                   "meta": {"trees": 10, "repeats": 3}})))
+        hashes, opened = {}, {}
+        for jobs in ("1", "4"):
+            pools.clear()
+            ws = tmp_path / f"ws{jobs}"
+            assert main(["pipeline", "--workspace", str(ws), "--config", str(cfg_path),
+                         "--jobs", jobs]) == 0
+            hashes[jobs], opened[jobs] = tree_hashes(ws), list(pools)
+        assert opened == {"1": [], "4": [4]}
+        assert "report/manifest.json" in hashes["1"]
+        assert hashes["4"] == hashes["1"]
+
     def test_deleted_lm_regenerates_byte_identically(self, world):
         ws_path, cfg_path = world
         victim = ws_path / "lms" / "syn02.txt"
@@ -888,6 +916,23 @@ class TestIngest:
         assert rc in (1, 2)
         assert "gone.jsonl" in capsys.readouterr().err
 
+    def test_empty_split_fails_in_the_data_stage(self, jsonl_world, tmp_path, capsys):
+        """Twelve records (six per label) leave the test split empty: the data
+        stage rejects the corpus before any embedding is written."""
+        cfg = json.loads(jsonl_world[1].read_text())
+        sources = []
+        for src in cfg["data"]["sources"][:2]:
+            path = tmp_path / Path(src["path"]).name
+            path.write_text("".join(Path(src["path"]).read_text().splitlines(True)[:12]))
+            sources.append(dict(src, path=str(path)))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(ingest_edit(cfg, sources)))
+        ws = tmp_path / "ws"
+        assert main(["downstream", "--workspace", str(ws), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'data'" in err and "leave the 'test' split empty" in err
+        assert not (ws / "embeddings").exists() or not any((ws / "embeddings").iterdir())
+
     def test_deleted_source_row_rebuilds_that_corpus_only(self, jsonl_world, tmp_path):
         _, cfg_path = jsonl_world
         cfg = json.loads(cfg_path.read_text())
@@ -1011,6 +1056,10 @@ UP_FRONT_CASES = {
     "synth_1_domain": ("pipeline", lambda _: tiny_world(1), "data.synth.domains"),
     "synth_5_domains": ("pipeline", lambda _: tiny_world(5), "data.synth.domains"),
     "synth_2_domains_meta": ("meta", lambda _: tiny_world(2), "data.synth.domains"),
+    "synth_empty_split_data": (
+        "synth",
+        lambda _: merged(tiny_world(2), {"data": {"synth": {"examples_per_domain": 12}}}),
+        "data.synth.examples_per_domain"),
     "pca_unknown_domain": (
         "pipeline",
         lambda _: dict(tiny_world(6), report={"pca_pairs": [["syn00", "syn09"]]}),
@@ -1070,6 +1119,36 @@ try:
 except SystemExit as e:
     assert e.code == 0, e.code
 """
+
+
+NUMPY_MA_CHECK = """
+import runpy, sys
+import numpy
+
+def masked():
+    return {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+
+eager = masked()
+try:
+    runpy.run_module("domainsel.cli", run_name="__main__")
+except SystemExit as e:
+    assert e.code == 0, e.code
+assert masked() == eager, sorted(masked() - eager)
+"""
+
+
+def test_build_does_not_load_numpy_ma(tmp_path):
+    """A cold build through report imports no numpy.ma module that `import
+    numpy` did not: NumPy 2 loads it on the first np.unique without
+    return_counts, which costs each build time and memory."""
+    (tmp_path / "config").write_text(json.dumps(
+        merged(tiny_world(6), {"meta": {"trees": 10, "repeats": 3}})))
+    env = dict(os.environ, PYTHONPATH=str(Path(domainsel.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CHECK, "report", "--workspace", "ws",
+         "--config", "config"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("code, args", [(bench_setup_probe(), ["config"]),

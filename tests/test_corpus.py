@@ -153,7 +153,7 @@ class TestLoadDomain:
 
 class TestCorpusContainer:
     def test_save_load_roundtrip(self, tmp_path):
-        corpus = split(make_corpus(5, 4), seed=3)
+        corpus = split(make_corpus(8, 5), seed=3)
         path = tmp_path / "c.json"
         corpus.save(path)
         assert DomainCorpus.load(path) == corpus
@@ -256,6 +256,12 @@ class TestSplit:
     def test_too_few_of_one_label(self):
         with pytest.raises(ValidationError, match="label 0"):
             split(make_corpus(10, 2))
+
+    def test_empty_split_rejected(self):
+        # Six of each label take quotas [5, 1, 0]: no example is left for test.
+        with pytest.raises(ValidationError,
+                           match="corpus 'toy': 12 examples leave the 'test' split empty"):
+            split(make_corpus(6, 6))
 
     def test_bad_ratios(self):
         with pytest.raises(ValidationError, match="sum"):

@@ -1,8 +1,12 @@
 import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from domainsel import ngram_lm
 from domainsel.corpus import DomainCorpus, TextPairExample
 from domainsel.errors import ValidationError
 from domainsel.ngram_lm import (
@@ -25,15 +29,25 @@ def corpus_of(texts, name="lmtoy"):
     return DomainCorpus(name=name, examples=examples)
 
 
+def lm_of_counts(path, vocab, c2, c3, discount=0.75):
+    """The model of the given counts, written as a count file and loaded."""
+    lines = [f"kn-trigram D={discount!r} vocab={len(vocab)}"]
+    lines += [f"v {tok}" for tok in sorted(vocab)]
+    lines += [f"2 {' '.join(k)} {c}" for k, c in sorted(c2.items())]
+    lines += [f"3 {' '.join(k)} {c}" for k, c in sorted(c3.items())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return TrigramLM.load(path)
+
+
 # The counts of exactly one training text "a a a", padded to <s> <s> a a a </s>.
 AAA_C2 = {(BOS, BOS): 1, (BOS, "a"): 1, ("a", "a"): 2, ("a", EOS): 1}
 AAA_C3 = {(BOS, BOS, "a"): 1, (BOS, "a", "a"): 1, ("a", "a", "a"): 1, ("a", "a", EOS): 1}
 
 
 @pytest.fixture
-def aaa_lm():
+def aaa_lm(tmp_path):
     # The hand-oracle setting: a model of those counts.
-    return TrigramLM(0.75, frozenset({"a", UNK, BOS, EOS}), AAA_C2, AAA_C3)
+    return lm_of_counts(tmp_path / "aaa.txt", {"a", UNK, BOS, EOS}, AAA_C2, AAA_C3)
 
 
 class TestTrainKN:
@@ -50,11 +64,13 @@ class TestTrainKN:
         assert lm.c3 == {k: 2 * c for k, c in AAA_C3.items()}
 
     def test_unigram_hand_values(self, aaa_lm):
-        assert aaa_lm._p1["a"] == pytest.approx(0.453125, abs=1e-12)
-        assert aaa_lm._p1[UNK] == pytest.approx(0.140625, abs=1e-12)
+        # </s> never starts a bigram continuation, so after it p = p1.
+        assert aaa_lm.prob(EOS, EOS, "a") == pytest.approx(0.453125, abs=1e-12)
+        assert aaa_lm.prob(EOS, EOS, UNK) == pytest.approx(0.140625, abs=1e-12)
 
     def test_bigram_hand_value(self, aaa_lm):
-        assert aaa_lm._p2(BOS, "a") == pytest.approx(0.58984375, abs=1e-12)
+        # (</s>, <s>) is no trigram history, so p(a | </s>, <s>) = p2(a | <s>).
+        assert aaa_lm.prob(EOS, BOS, "a") == pytest.approx(0.58984375, abs=1e-12)
 
     def test_trigram_hand_values(self, aaa_lm):
         assert aaa_lm.prob(BOS, BOS, "a") == pytest.approx(0.6923828125, abs=1e-12)
@@ -134,13 +150,13 @@ class TestPerplexity:
         lm = train_kn(corpus_of([text, text]))
         assert perplexity(lm, corpus_of([text])) <= 2.0
 
-    def test_uniform_model_ppl_equals_vocab(self):
+    def test_uniform_model_ppl_equals_vocab(self, tmp_path):
         # All-equal counts over a 4-token vocab make every conditional
         # exactly 1/4, so PPL is exactly the vocab size.
         toks = ["a", UNK, BOS, EOS]
         c2 = {(u, v): 1 for u in toks for v in toks}
         c3 = {(u, v, w): 1 for u in toks for v in toks for w in toks}
-        lm = TrigramLM(0.75, frozenset(toks), c2, c3)
+        lm = lm_of_counts(tmp_path / "uniform.txt", set(toks), c2, c3)
         for u in toks:
             for v in toks:
                 for w in toks:
@@ -233,3 +249,121 @@ class TestSaveLoad:
         path.write_text(text)
         with pytest.raises(ValidationError, match="vocab"):
             TrigramLM.load(path)
+
+    def test_reject_vocab_without_padding_tokens(self, tmp_path):
+        c2 = {("a", "a"): 1}
+        with pytest.raises(ValidationError, match="vocab lacks"):
+            lm_of_counts(tmp_path / "lm.txt", {"a"}, c2, {("a", "a", "a"): 1})
+
+    def test_save_load_save_same_bytes(self, tmp_path):
+        lm = train_kn(corpus_of(["the cat sat", "a dog ran", "dogs and the cat"]),
+                      min_count=1)
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        lm.save(first)
+        TrigramLM.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("line, problem", [
+        ("3 a a zzz 1", "malformed"),
+        ("3 a a a x", "malformed"),
+        ("2 <s> <s> 1", "out of order or repeated"),
+    ])
+    def test_reject_bad_count_line(self, tmp_path, line, problem):
+        lm = train_kn(corpus_of(["a a a"]))
+        path = tmp_path / "lm.txt"
+        lm.save(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValidationError, match=problem):
+            TrigramLM.load(path)
+
+
+def scalar_perplexity(train_lists, eval_lists, min_count, D=0.75):
+    """The dict-of-tuples model scored token by token: per-token math.log2 of
+    the interpolated KN formula, then math.fsum."""
+    raw = Counter(t for toks in train_lists for t in toks)
+    vocab = {w for w, c in raw.items() if c >= min_count} | {UNK, BOS, EOS}
+
+    def padded(toks):
+        return [BOS, BOS] + [w if w in vocab else UNK for w in toks] + [EOS]
+
+    c2, c3 = Counter(), Counter()
+    for toks in train_lists:
+        seq = padded(toks)
+        c2.update(zip(seq, seq[1:]))
+        c3.update(zip(seq, seq[1:], seq[2:]))
+    den3, types3, cont2 = Counter(), Counter(), Counter()
+    for (u, v, w), c in c3.items():
+        den3[u, v] += c
+        types3[u, v] += 1
+        cont2[v, w] += 1
+    den2, types2 = Counter(), Counter()
+    for (v, w), c in cont2.items():
+        den2[v] += c
+        types2[v] += 1
+    cont1 = Counter(w for _, w in c2)
+    bigram_types = sum(cont1.values())
+    lam1 = D * len(cont1) / bigram_types
+    p1 = {w: max(cont1[w] - D, 0.0) / bigram_types + lam1 * (1.0 / len(vocab))
+          for w in vocab}
+
+    def p2(v, w):
+        if den2[v] == 0:
+            return p1[w]
+        lam = D * types2[v] / den2[v]
+        return max(cont2[v, w] - D, 0.0) / den2[v] + lam * p1[w]
+
+    def p3(u, v, w):
+        if den3[u, v] == 0:
+            return p2(v, w)
+        lam = D * types3[u, v] / den3[u, v]
+        return max(c3[u, v, w] - D, 0.0) / den3[u, v] + lam * p2(v, w)
+
+    log2_probs = []
+    for toks in eval_lists:
+        seq = padded(toks)
+        log2_probs += [math.log2(p3(*gram)) for gram in zip(seq, seq[1:], seq[2:])]
+    return 2.0 ** (-math.fsum(log2_probs) / len(log2_probs))
+
+
+# Short texts over a few shared words; the evaluation side adds words no
+# training text has, so scoring meets OOVs and unseen histories.
+def texts(words):
+    return st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6).map(" ".join),
+                    min_size=1, max_size=8)
+
+
+class TestArrayModel:
+    @settings(max_examples=150, deadline=None)
+    @given(train=texts(["a", "b", "c", "d"]), held_out=texts(["a", "b", "c", "x", "y"]),
+           min_count=st.sampled_from([1, 2]))
+    def test_perplexity_equals_scalar_reference_bit_for_bit(self, train, held_out,
+                                                            min_count):
+        train_corpus, eval_corpus = corpus_of(train), corpus_of(held_out, name="eval")
+        lm = train_kn(train_corpus, min_count=min_count)
+        expected = scalar_perplexity(train_corpus.tokens(), eval_corpus.tokens(), min_count)
+        assert perplexity(lm, eval_corpus) == expected
+
+    def test_scoring_raises_no_floating_point_error(self, aaa_lm):
+        # Unseen histories at both orders take the den == 0 branch.
+        with np.errstate(all="raise"):
+            assert perplexity(aaa_lm, corpus_of(["a", "q w a a", ""])) > 1.0
+            assert aaa_lm.prob(EOS, EOS, UNK) > 0.0
+            train_kn(corpus_of(["b b c", "c"]), min_count=2)
+
+    def test_arrays_are_read_only(self):
+        lm = train_kn(corpus_of(["a b a", "b a b"]))
+        for level in (lm._trigram, lm._bigram):
+            for array in (level.keys, level.counts, level.hist, level.den, level.types):
+                assert not array.flags.writeable
+        assert not any(a.flags.writeable for a in (*lm._bigrams, lm._p1))
+
+    def test_vocabulary_over_the_key_bound_rejected(self, tmp_path, monkeypatch):
+        lm = train_kn(corpus_of(["a b"]))
+        path = tmp_path / "lm.txt"
+        lm.save(path)
+        monkeypatch.setattr(ngram_lm, "MAX_VOCAB", 4)
+        with pytest.raises(ValidationError, match="vocabulary of 5 tokens exceeds 4"):
+            train_kn(corpus_of(["a b"]))
+        with pytest.raises(ValidationError, match="vocabulary of 5 tokens exceeds 4"):
+            TrigramLM.load(path)
+        assert train_kn(corpus_of(["a a"])).V == 4
