@@ -113,8 +113,7 @@ def _meta_restriction(resolved: dict, args) -> tuple:
 
 
 def _copy_report(ws: Workspace, outputs, out_dir: str) -> None:
-    """Copy the report stage's current outputs; files an earlier config left
-    in `report/` stay behind."""
+    """Copy the report stage's current outputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for rel in sorted(outputs):

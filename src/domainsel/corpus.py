@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import re
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -45,8 +46,12 @@ class TextPairExample:
 
     @cached_property
     def tokens(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The (text_a, text_b) tokens, made on first use and kept."""
-        return tuple(tokenize(self.text_a)), tuple(tokenize(self.text_b))
+        """The (text_a, text_b) tokens, made on first use and kept.
+
+        Tokens are interned, so the tokens that every example keeps share one
+        string per word.
+        """
+        return tuple(tuple(map(sys.intern, tokenize(t))) for t in (self.text_a, self.text_b))
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,8 @@ def _record_to_example(rec: dict, binarize_threshold, where: str) -> TextPairExa
         score = rec.get("score")
         if not isinstance(score, (int, float)) or isinstance(score, bool):
             raise ValidationError(f"{where}: numeric score required for binarization")
+        if isinstance(score, float) and not math.isfinite(score):
+            raise ValidationError(f"{where}: score must be finite, got {score!r}")
         label = 0 if score < binarize_threshold else 1
     else:
         if "label" not in rec:

@@ -6,6 +6,13 @@ and once per domain. The pipeline seeds each per-domain table separately
 are not aligned across domains and the word-vector-variance feature that
 compares them carries little signal (ROADMAP item 3). Sentence vectors are
 the mean of a trained table's word vectors.
+
+Training holds the corpus as one flat array of token ids with per-text
+lengths. A token's context count has a closed form, so the (center, context)
+pairs are never listed for the whole corpus: the probe batch maps its drawn
+pair numbers to tokens arithmetically, and the update slots are laid out one
+block of texts at a time. Working memory grows with the token count and
+`TEXTS_PER_BLOCK`, not with tokens times 2 * window.
 """
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ log = logging.getLogger(__name__)
 
 LR_START = 0.025
 LR_END = 0.0001
-# Texts whose update slots are laid out at once. It bounds the memory of the
-# slot arrays; the table is the same for any value.
+# Texts whose update slots are laid out at once. Only one block's slots exist
+# at a time, so it bounds their memory; the table is the same for any value.
 TEXTS_PER_BLOCK = 16
 
 
@@ -129,47 +136,76 @@ def _draw_negatives(rng, cdf, n):
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def _contexts(seq, window):
-    """Ids within `window` of each position (itself excluded), and their counts.
+def _context_counts(lengths, window):
+    """Per token of consecutive texts of `lengths`: how many of its contexts
+    (the tokens within `window` of it in its text) lie left of it, and how
+    many it has in all."""
+    # In place where it can be: these are the embed stage's largest arrays.
+    pos = np.arange(int(lengths.sum()))
+    pos -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    right = np.repeat(lengths - 1, lengths)
+    right -= pos
+    left = np.minimum(window, pos, out=pos)
+    n_ctx = np.minimum(window, right, out=right)
+    n_ctx += left
+    return left, n_ctx
 
-    Contexts are grouped by center, in position order, and each in position
-    order too.
+
+def _context_token(center, r, left):
+    """The token of the r-th context of each center token: contexts go in
+    position order, the `left[center]` ones left of it, then the right ones.
+
+    Numbering pairs center by center, and each center's by r, is the order of
+    both the probe draw and the update slots.
     """
-    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
-    j = np.arange(len(seq))[:, None] + offsets
-    valid = (j >= 0) & (j < len(seq))
-    return seq[j[valid]], valid.sum(axis=1)
+    before = left[center]
+    return center + r - before + (r >= before)
 
 
-def _slots(ids, contexts, negatives):
+def _probe_pairs(rng, ids, lengths, window):
+    """The (center, context) ids of 512 distinct pairs drawn uniformly, or
+    of every pair if there are fewer; pairs are numbered text by text."""
+    left, n_ctx = _context_counts(lengths, window)
+    pairs = int(n_ctx.sum())
+    if pairs == 0:
+        raise ValidationError("skipgram corpus has no context pairs (texts too short)")
+    pick = rng.choice(pairs, size=min(pairs, 512), replace=False)
+    ends = np.cumsum(n_ctx)
+    center = ends.searchsorted(pick, side="right")
+    return ids[center], ids[_context_token(center, pick - ends[center] + n_ctx[center], left)]
+
+
+def _slots(ids, lengths, window, negatives):
     """The update slots of a run of texts, text by text.
 
-    A text's slots are its (center, context) pairs in center order, then
-    `negatives` shared slots per center that has contexts, also in center
-    order. Returns, per slot, the center's position in the run, its word id,
-    the output row (context ids; shared slots are left for the caller's
-    draws), the shared-slot mask and the weight (1 for a context, the
-    center's context count k for a shared negative); and (first slot, first
-    shared slot, end) of each text that has slots.
+    `ids` holds the token ids of the texts, one after another, and `lengths`
+    their token counts. A text's slots are its (center, context) pairs in
+    center order, then `negatives` shared slots per center that has
+    contexts, also in center order. Returns, per slot, the center's position
+    in the run, its word id, the output row (context ids; shared slots are
+    left for the caller's draws), the shared-slot mask and the weight (1 for
+    a context, the center's context count k for a shared negative); and
+    (first slot, first shared slot, end) of each text that has slots.
     """
-    n_ctx = np.concatenate([n for _, n in contexts])
+    left, n_ctx = _context_counts(lengths, window)
+    owner = np.repeat(np.arange(len(n_ctx)), n_ctx)
+    r = np.arange(len(owner)) - np.repeat(np.cumsum(n_ctx) - n_ctx, n_ctx)
+    ctx = _context_token(owner, r, left)
     active = np.flatnonzero(n_ctx)
-    owner = np.concatenate([np.repeat(np.arange(len(n_ctx)), n_ctx),
-                            np.repeat(active, negatives)])
-    shared = np.arange(len(owner)) >= n_ctx.sum()
-    text = np.repeat(np.arange(len(ids)), [len(seq) for seq in ids])[owner]
+    owner = np.concatenate([owner, np.repeat(active, negatives)])
+    shared = np.arange(len(owner)) >= len(ctx)
+    text = np.repeat(np.arange(len(lengths)), lengths)[owner]
     order = np.argsort(2 * text + shared, kind="stable")
     owner, shared, text = owner[order], shared[order], text[order]
-    rows = np.concatenate([ctx for ctx, _ in contexts]
-                          + [np.zeros(len(active) * negatives, dtype=np.int64)])[order]
+    rows = np.concatenate([ids[ctx], np.zeros(len(active) * negatives, dtype=np.int64)])[order]
     weight = np.where(shared, n_ctx[owner], 1).astype(np.float64)
-    per_text = np.bincount(text, minlength=len(ids))
+    per_text = np.bincount(text, minlength=len(lengths))
     ends = np.cumsum(per_text)
     firsts = ends - per_text
-    mids = firsts + np.bincount(text[~shared], minlength=len(ids))
+    mids = firsts + np.bincount(text[~shared], minlength=len(lengths))
     bounds = [(a, p, b) for a, p, b in zip(firsts.tolist(), mids.tolist(), ends.tolist())
               if b > a]
-    return owner, np.concatenate(ids)[owner], rows, shared, weight, bounds
+    return owner, ids[owner], rows, shared, weight, bounds
 
 
 def train_skipgram(
@@ -198,7 +234,12 @@ def train_skipgram(
     if len(vocab) < 2:
         raise ValidationError(f"skipgram needs >= 2 distinct tokens, got {len(vocab)}")
     index = {t: i for i, t in enumerate(vocab)}
-    ids = [np.array([index[t] for t in toks], dtype=np.int64) for toks in token_lists]
+    # Every text's token ids, one text after another.
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    first_center = np.concatenate([[0], np.cumsum(lengths)])
+    per_epoch = int(first_center[-1])
+    ids = np.fromiter((index[t] for toks in token_lists for t in toks),
+                      dtype=np.int64, count=per_epoch)
 
     freq = np.array([counts[t] for t in vocab], dtype=np.float64)
     noise = freq**0.75
@@ -208,17 +249,9 @@ def train_skipgram(
     w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     w_out = np.zeros((len(vocab), dim))
 
-    contexts = [_contexts(seq, window) for seq in ids]
-
     # Fixed probe batch for the loss curve, drawn before training.
-    probe_c = np.concatenate([np.repeat(seq, n) for seq, (_, n) in zip(ids, contexts)])
-    probe_x = np.concatenate([ctx for ctx, _ in contexts])
-    if len(probe_c) == 0:
-        raise ValidationError("skipgram corpus has no context pairs (texts too short)")
-    keep = min(len(probe_c), 512)
-    pick = rng.choice(len(probe_c), size=keep, replace=False)
-    probe_c, probe_x = probe_c[pick], probe_x[pick]
-    probe_neg = rng.choice(len(vocab), size=(keep, negatives), p=noise)
+    probe_c, probe_x = _probe_pairs(rng, ids, lengths, window)
+    probe_neg = rng.choice(len(vocab), size=(len(probe_c), negatives), p=noise)
 
     losses = [_sgns_loss(w_in, w_out, probe_c, probe_x, probe_neg)]
     cdf = _noise_cdf(noise)
@@ -226,14 +259,12 @@ def train_skipgram(
     # accumulates over repeated rows.
     flat_in, flat_out = w_in.reshape(-1), w_out.reshape(-1)
     cols = np.arange(dim)
-    first_center = np.cumsum([0] + [len(seq) for seq in ids])
-    per_epoch = int(first_center[-1])
     total_centers = epochs * per_epoch
     for epoch in range(epochs):
-        for lo in range(0, len(ids), TEXTS_PER_BLOCK):
-            hi = lo + TEXTS_PER_BLOCK
+        for lo in range(0, len(lengths), TEXTS_PER_BLOCK):
+            hi = min(lo + TEXTS_PER_BLOCK, len(lengths))
             owner, centers, rows, shared, weight, bounds = _slots(
-                ids[lo:hi], contexts[lo:hi], negatives)
+                ids[first_center[lo]:first_center[hi]], lengths[lo:hi], window, negatives)
             # One draw for the block equals one per text in turn.
             rows[shared] = _draw_negatives(rng, cdf, int(shared.sum()))
             # Each slot takes its center's step of the linear schedule.

@@ -646,4 +646,7 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
         results[stage] = combined
         log.info("stage %s: %d built, %d fresh", stage,
                  len(combined.built), len(combined.skipped))
+    if upto == STAGES[-1] and only_mode is None and only_variant is None:
+        # Only a full run lists every output the config asks for.
+        ws.prune(rel for r in results.values() for rel in r.built + r.skipped)
     return results

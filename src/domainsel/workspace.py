@@ -6,7 +6,8 @@ from everything the job reads (see `pipeline`). A job reruns only when an
 output is missing or its recorded key no longer matches; stale artifacts
 are logged and rebuilt, never silently reused. Failed jobs delete their
 partial outputs; outputs leave the manifest before their job rebuilds them,
-so a killed build is redone.
+so a killed build is redone. A run that lists every output the config asks
+for prunes the recorded artifacts that no job listed.
 
 Within a run, a job that saves an object (a corpus, table, language model
 or sentence array) can `keep` it, and later jobs `read` it without parsing
@@ -129,6 +130,23 @@ class Workspace:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
         os.replace(tmp, path)
+
+    def prune(self, listed) -> None:
+        """Delete and unrecord every artifact the manifest records that is not
+        in `listed`. Files the manifest never recorded are left alone, and so
+        is an entry's file outside the workspace (a hand-edited manifest)."""
+        manifest = self.load_manifest()
+        artifacts = manifest["artifacts"]
+        orphans = sorted(set(artifacts) - set(listed))
+        for rel in orphans:
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                log.warning("unrecording %s: outside the workspace, not deleted", rel)
+            else:
+                log.info("pruning %s: no job of this run lists it", rel)
+                self.path(rel).unlink(missing_ok=True)
+            del artifacts[rel]
+        if orphans:
+            self.save_manifest(manifest)
 
 
 @dataclass

@@ -217,9 +217,46 @@ class TestStageCommands:
         rc = main(["report", "--workspace", str(ws2), "--config", str(cfg_path),
                    "--out", str(out)])
         assert rc == 0
-        assert (ws2 / "report" / "pca_syn00__syn01.csv").exists()  # left by the old config
         want = {Path(rel).name for rel in EXPECTED_REPORTS} - {"pca_syn00__syn01.csv"}
         assert {p.name for p in out.iterdir()} == want | {"pca_syn02__syn03.csv"}
+        # The full run pruned the projection that the old config asked for.
+        assert [p.name for p in (ws2 / "report").glob("pca_*")] == ["pca_syn02__syn03.csv"]
+        recorded = json.loads((ws2 / "manifest.json").read_text())["artifacts"]
+        assert [rel for rel in recorded if rel.startswith("report/pca_")] == [
+            "report/pca_syn02__syn03.csv"]
+
+    def test_only_a_full_run_prunes_and_only_recorded_files(self, world, tmp_path):
+        ws_path, cfg_path = world
+        ws2 = tmp_path / "ws"
+        shutil.copytree(ws_path, ws2)
+        old_model = "adapt/msda/syn00__syn01.json"  # an adapt model from before `.bin`
+        (ws2 / "adapt" / "msda").mkdir(parents=True)
+        (ws2 / old_model).write_text("{}")
+        (ws2 / "notes.txt").write_text("mine")  # a user file the manifest never recorded
+        manifest_path = ws2 / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["artifacts"][old_model] = {"stage": "adapt", "key": "old", "seed": 5}
+        manifest_path.write_text(json.dumps(manifest))
+
+        def assert_kept():
+            assert (ws2 / old_model).exists()
+            assert old_model in json.loads(manifest_path.read_text())["artifacts"]
+
+        args = ["--workspace", str(ws2), "--config", str(cfg_path)]
+        assert main(["meta", *args]) == 0  # stops before report
+        assert_kept()
+        assert main(["meta", "--mode", "ranker", *args]) == 0
+        assert_kept()
+        resolved = resolve_config(validate_config(SMALL_CONFIG))
+        run_pipeline(Workspace(ws2), resolved, only_variant="none")  # through report
+        assert_kept()
+        assert main(["report", *args]) == 0
+        assert not (ws2 / old_model).exists()
+        assert (ws2 / "notes.txt").read_text() == "mine"
+        # Everything else, manifest.json included, is as the cold build left it.
+        after = tree_hashes(ws2)
+        del after["notes.txt"]
+        assert after == tree_hashes(ws_path)
 
     def test_seed_override_changes_data(self, world, tmp_path):
         ws_path, cfg_path = world

@@ -110,6 +110,30 @@ class TestLoadDomain:
         with pytest.raises(ValidationError, match="score"):
             load_domain(p, format="jsonl", name="d", binarize_threshold=4.0)
 
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity"])
+    def test_jsonl_non_finite_score_names_line(self, tmp_path, score):
+        # json.loads reads NaN and Infinity as floats; NaN < t is false, so a
+        # NaN score would load as label 1.
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text_a": "u", "text_b": "v", "score": 4.5}\n'
+                     f'{{"text_a": "u", "text_b": "v", "score": {score}}}\n')
+        with pytest.raises(ValidationError, match=r"line 2: score must be finite"):
+            load_domain(p, format="jsonl", name="d", binarize_threshold=3.5)
+
+    def test_jsonl_huge_integer_score_loads(self, tmp_path):
+        # An int is finite however large; converting it to float would overflow.
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text_a": "u", "text_b": "v", "score": 1' + "0" * 400 + "}\n")
+        corpus = load_domain(p, format="jsonl", name="d", binarize_threshold=3.5)
+        assert [ex.label for ex in corpus.examples] == [1]
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_tsv_non_finite_score_names_line(self, tmp_path, score):
+        p = tmp_path / "d.tsv"
+        p.write_text(f"text_a\ttext_b\tscore\nu\tv\t4.5\nu\tv\t{score}\n")
+        with pytest.raises(ValidationError, match=r"line 3: score must be finite"):
+            load_domain(p, format="tsv", name="d", binarize_threshold=3.5)
+
     def test_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("text_a\ttext_b\tlabel\na cat\ta feline\t1\na cat\tmars\t0\n")
@@ -179,6 +203,24 @@ class TestKeptTokens:
             for name in selections:
                 want = [tuple(tokenize(t)) for t in corpus.texts(name)]
                 assert corpus.tokens(name) == want
+
+    def test_equal_words_share_one_string(self, tmp_path):
+        """Kept tokens are interned: examples, a split copy, corpora loaded
+        from their files and the merged corpus of both hold one string per
+        word."""
+        corpora = []
+        for name, sizes in (("a", (8, 5)), ("b", (8, 8))):
+            assigned = split(make_corpus(*sizes, name=name), seed=1)
+            assigned.save(tmp_path / f"{name}.json")
+            corpora += [assigned, DomainCorpus.load(tmp_path / f"{name}.json")]
+        merged = DomainCorpus("global", corpora[1].subset("train") + corpora[3].subset("train"))
+        strings = {}
+        for corpus in (*corpora, merged):
+            for toks in corpus.tokens():
+                for token in toks:
+                    strings.setdefault(token, set()).add(id(token))
+        assert {"alpha", "beta", "gamma", "delta"} <= set(strings)
+        assert all(len(ids) == 1 for ids in strings.values())
 
     def test_each_text_tokenized_once_past_8192_texts(self, monkeypatch):
         """Every text layer reads the tokens kept on the example, so no corpus

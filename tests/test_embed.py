@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import domainsel.embed as embed_mod
 from domainsel.corpus import DomainCorpus, TextPairExample, tokenize
 from domainsel.embed import (
     LR_END,
@@ -179,14 +184,36 @@ class TestBlockNegativeSampling:
 
     @pytest.mark.parametrize("block", [1, 5])
     def test_block_size_leaves_table_unchanged(self, monkeypatch, block):
-        import domainsel.embed as embed_mod
-
         corpus = pair_corpus(self.MIXED_TEXTS * 3)  # more than one block of texts
         want = train_skipgram(corpus, dim=6, window=2, negatives=3, epochs=2, seed=4)
         monkeypatch.setattr(embed_mod, "TEXTS_PER_BLOCK", block)
         got = train_skipgram(corpus, dim=6, window=2, negatives=3, epochs=2, seed=4)
         assert got.matrix.tobytes() == want.matrix.tobytes()
         assert got.loss_curve == want.loss_curve
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(["ab", "cd", "ef", "gh", "ij"]),
+                                min_size=1, max_size=9),
+                       min_size=1, max_size=9),
+        window=st.integers(1, 4), negatives=st.integers(0, 3), epochs=st.integers(0, 2),
+    )
+    def test_random_corpora_match_reference_at_every_block_size(
+            self, texts, window, negatives, epochs):
+        # Texts shorter than the window and one-token texts included.
+        corpus = pair_corpus([" ".join(words) for words in texts])
+        token_lists = corpus.tokens()
+        assume(len({t for toks in token_lists for t in toks}) >= 2)
+        assume(any(len(toks) > 1 for toks in token_lists))
+        want, want_losses, _ = _reference_skipgram(
+            token_lists, 3, window, negatives, epochs, seed=2)
+        for block in (1, 3, 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(embed_mod, "TEXTS_PER_BLOCK", block)
+                table = train_skipgram(corpus, dim=3, window=window, negatives=negatives,
+                                       epochs=epochs, seed=2)
+            np.testing.assert_allclose(table.matrix, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(table.loss_curve, want_losses, rtol=1e-12)
 
     def test_one_token_texts_train_deterministically(self):
         # Centers of 1-token texts have no context and draw no negatives.
@@ -196,6 +223,28 @@ class TestBlockNegativeSampling:
         assert a.tokens == ("alpha", "beta", "gamma")
         assert np.all(np.isfinite(a.matrix))
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def test_working_memory_does_not_grow_with_the_window(monkeypatch):
+    """No array holds every (center, context) pair of the corpus: the traced
+    peak is about the same at window 1 and window 8."""
+    # One text per block, so that the block's own slots, which do grow with
+    # the window, are too small to mask what the whole corpus holds.
+    monkeypatch.setattr(embed_mod, "TEXTS_PER_BLOCK", 1)
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(300)]
+    corpus = pair_corpus([" ".join(rng.choice(words, size=int(rng.integers(1, 25))))
+                          for _ in range(800)])
+    tokens = sum(map(len, corpus.tokens()))
+    peaks = []
+    for window in (1, 8):
+        tracemalloc.start()
+        train_skipgram(corpus, dim=4, window=window, epochs=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # Listing every pair costs at least 16 bytes per pair, so 14 more
+    # contexts per token would add over 200 bytes per token.
+    assert peaks[1] - peaks[0] < 16 * tokens
 
 
 class TestEmbeddingTableIO:

@@ -57,6 +57,21 @@ class TestManifest:
         with pytest.raises(ValidationError, match="manifest"):
             ws.load_manifest()
 
+    def test_prune_deletes_only_recorded_files_inside_the_workspace(self, tmp_path):
+        ws = Workspace(tmp_path / "w")
+        run_demo(ws, [write_job(ws, "keep.txt"), write_job(ws, "sub/old.txt")], "k")
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not ours")
+        ws.path("user.txt").write_text("mine")
+        manifest = ws.load_manifest()
+        manifest["artifacts"]["../outside.txt"] = {"stage": "demo", "key": "k", "seed": None}
+        ws.save_manifest(manifest)
+        ws.prune(["keep.txt"])
+        assert sorted(ws.load_manifest()["artifacts"]) == ["keep.txt"]
+        assert not ws.path("sub/old.txt").exists()
+        assert ws.path("keep.txt").exists() and ws.path("user.txt").exists()
+        assert outside.read_text() == "not ours"
+
 
 class TestRunStage:
     def test_builds_then_skips(self, tmp_path):
