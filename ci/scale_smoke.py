@@ -1,20 +1,22 @@
-"""Scale smoke: build a 3,000-example-per-domain world through `embed` in a
-child process and fail unless it exits 0 under a peak-RSS bound.
+"""Scale smoke: build a 3,000-example-per-domain world staged, one child
+process per command (`embed`, then `lm`, then `features` on the same
+workspace), and fail unless each command exits 0 under a peak-RSS bound.
 
 The skipgram stage's memory should grow with the token count, not with the
-number of (center, context) pairs; this world is large enough for the
-difference to show (see CHANGES.md for the measured peaks).
+number of (center, context) pairs, and the features stage should not hold
+the language models' count files as strings; this world is large enough for
+either difference to show (see CHANGES.md for the measured peaks).
 
     python ci/scale_smoke.py
 
-Prints one JSON line and exits 0 on a pass, 1 otherwise. Linux only:
-`ru_maxrss` is read in KiB.
+Prints one JSON line with each command's return code, peak RSS and wall
+time, and exits 0 on a pass, 1 otherwise. Linux only: each child's peak is
+its own `ru_maxrss` from `os.wait4`, read in KiB.
 """
 from __future__ import annotations
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -22,27 +24,40 @@ import time
 from pathlib import Path
 
 CONFIG = {"data": {"synth": {"examples_per_domain": 3000}}, "embed": {"epochs": 1}}
+COMMANDS = ("embed", "lm", "features")
 LIMIT_MB = 100
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run(command: str, workspace: Path, config: Path, env: dict) -> dict:
+    """Run one CLI command in a child; its return code, peak RSS and wall time."""
+    start = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "domainsel.cli", command,
+         "--workspace", str(workspace), "--config", str(config)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    return {"command": command, "returncode": child.returncode,
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+            "wall_s": round(time.perf_counter() - start, 2)}
 
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(CONFIG))
-        start = time.perf_counter()
-        rc = subprocess.run(
-            [sys.executable, "-m", "domainsel.cli", "embed",
-             "--workspace", str(Path(tmp) / "ws"), "--config", str(config)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
-        wall = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    ok = rc == 0 and peak_mb < LIMIT_MB
-    print(json.dumps({"returncode": rc, "peak_rss_mb": round(peak_mb, 1),
-                      "limit_mb": LIMIT_MB, "wall_s": round(wall, 2), "ok": ok}))
+        for command in COMMANDS:
+            results.append(run(command, Path(tmp) / "ws", config, env))
+            if results[-1]["returncode"] != 0:
+                break
+    ok = len(results) == len(COMMANDS) and all(
+        r["returncode"] == 0 and r["peak_rss_mb"] < LIMIT_MB for r in results)
+    print(json.dumps({"commands": results, "limit_mb": LIMIT_MB, "ok": ok}))
     return 0 if ok else 1
 
 

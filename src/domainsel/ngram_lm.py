@@ -10,13 +10,18 @@ is its position in ``sorted(vocab)``, and an n-gram's key is its ids read as
 the digits of a base-|vocab| number: ``v*V + w`` and ``(u*V + v)*V + w``.
 Numeric key order is therefore the tuple order of the token strings, which
 is the order of the count file's lines.
+
+The count file is the model's only serialized form: a header line, the
+vocabulary lines, then the bigram and the trigram lines, each block sorted.
+`load` needs the whole vocabulary before the first count line and reads the
+file one line at a time; `save` writes a bounded chunk of lines at a time.
 """
 from __future__ import annotations
 
 import logging
 import math
 from collections import Counter
-from collections.abc import Mapping
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -84,30 +89,6 @@ class _Level:
         return np.where(den == 0, lower, num / safe + lam * lower)
 
 
-class _Counts(Mapping):
-    """Read-only (token, ...) -> count view of one order's key array."""
-
-    def __init__(self, lm: "TrigramLM", keys, counts, n: int):
-        self._lm, self._keys, self._counts, self._n = lm, keys, counts, n
-
-    def __getitem__(self, gram):
-        if not isinstance(gram, tuple) or len(gram) != self._n:
-            raise KeyError(gram)
-        key = 0
-        for tok in gram:
-            key = key * self._lm.V + self._lm._ids[tok]
-        i, found = _find(self._keys, key)
-        if not found:
-            raise KeyError(gram)
-        return int(self._counts[i])
-
-    def __iter__(self):
-        return self._lm._grams(self._keys, self._n)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 class TrigramLM:
     """Immutable after construction; safe for concurrent scoring.
 
@@ -138,13 +119,15 @@ class TrigramLM:
         lam1 = discount * np.count_nonzero(cont1) / bigram_types
         self._p1, = _frozen(np.maximum(cont1 - discount, 0.0) / bigram_types + lam1 * (1.0 / V))
 
-    @property
-    def c2(self) -> Mapping:
-        return _Counts(self, *self._bigrams, 2)
+    @cached_property
+    def c2(self) -> dict:
+        """(v, w) -> count, built on first use."""
+        return dict(zip(self._grams(self._bigrams[0], 2), self._bigrams[1].tolist()))
 
-    @property
-    def c3(self) -> Mapping:
-        return _Counts(self, *self._trigrams, 3)
+    @cached_property
+    def c3(self) -> dict:
+        """(u, v, w) -> count, built on first use."""
+        return dict(zip(self._grams(self._trigrams[0], 3), self._trigrams[1].tolist()))
 
     def _grams(self, keys, n: int):
         """The token tuple of each n-gram key, in key order."""
@@ -165,16 +148,19 @@ class TrigramLM:
 
     def save(self, path) -> None:
         """Sorted plain-text count file; reload reproduces scores exactly."""
-        lines = [f"{_HEADER_PREFIX} D={self.discount!r} vocab={self.V}\n"]
-        lines += [f"v {tok}\n" for tok in self._ids]
-        for n, (keys, counts) in ((2, self._bigrams), (3, self._trigrams)):
-            lines += [f"{n} {' '.join(gram)} {c}\n"
-                      for gram, c in zip(self._grams(keys, n), counts.tolist())]
         with open(path, "w", encoding="utf-8") as f:
-            f.write("".join(lines))
+            f.write(f"{_HEADER_PREFIX} D={self.discount!r} vocab={self.V}\n")
+            f.writelines(f"v {tok}\n" for tok in self._ids)
+            for n, (keys, counts) in ((2, self._bigrams), (3, self._trigrams)):
+                for lo in range(0, len(keys), 1024):  # bounds the lines made at once
+                    chunk = slice(lo, lo + 1024)
+                    f.writelines(f"{n} {' '.join(gram)} {c}\n" for gram, c in
+                                 zip(self._grams(keys[chunk], n), counts[chunk].tolist()))
 
     @classmethod
     def load(cls, path) -> "TrigramLM":
+        """Read a count file one line at a time: the vocabulary lines first,
+        then each count line straight into its order's keys and counts."""
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().rstrip("\n").split()
             if (
@@ -186,42 +172,44 @@ class TrigramLM:
                 raise ValidationError(f"{path}: not a kn-trigram count file")
             discount = float(header[1][2:])
             vocab_size = int(header[2][6:])
-            vocab = set()
-            rows: dict[int, list] = {2: [], 3: []}
-            for lineno, line in enumerate(f, start=2):
-                fields = line.rstrip("\n").split(" ")
+            rows = ((lineno, line.rstrip("\n").split(" "))
+                    for lineno, line in enumerate(f, start=2))
+            vocab, row = set(), None
+            for row in rows:
+                if row[1][0] != "v" or len(row[1]) != 2:
+                    break
+                vocab.add(row[1][1])
+            else:
+                row = None
+            if len(vocab) != vocab_size:
+                where = f"line {row[0]}: " if row else ""
+                raise ValidationError(f"{path}: {where}header claims {vocab_size} "
+                                      f"vocab entries, found {len(vocab)}")
+            if not {UNK, BOS, EOS} <= vocab:
+                raise ValidationError(f"{path}: vocab lacks {UNK}, {BOS} or {EOS}")
+            ids = token_ids(vocab)
+            grams = {n: ([], []) for n in (2, 3)}
+            for lineno, fields in chain([row] if row else [], rows):
                 kind = fields[0]
-                if kind == "v" and len(fields) == 2:
-                    vocab.add(fields[1])
-                elif kind in ("2", "3") and len(fields) == int(kind) + 2:
-                    rows[int(kind)].append((lineno, fields))
-                else:
+                if kind not in ("2", "3") or len(fields) != int(kind) + 2:
                     raise ValidationError(f"{path}: line {lineno}: malformed entry")
-        if len(vocab) != vocab_size:
-            raise ValidationError(
-                f"{path}: header claims {vocab_size} vocab entries, found {len(vocab)}"
-            )
-        if not {UNK, BOS, EOS} <= vocab:
-            raise ValidationError(f"{path}: vocab lacks {UNK}, {BOS} or {EOS}")
-        ids = token_ids(vocab)
-
-        def parse(n):
-            keys = np.empty(len(rows[n]), dtype=np.int64)
-            counts = np.empty(len(rows[n]), dtype=np.int64)
-            for j, (lineno, fields) in enumerate(rows[n]):
+                keys, counts = grams[int(kind)]
                 try:
                     key = 0
                     for tok in fields[1:-1]:
                         key = key * vocab_size + ids[tok]
-                    keys[j], counts[j] = key, int(fields[-1])
+                    count = int(fields[-1])
+                    if not -2**63 <= count < 2**63:
+                        raise OverflowError  # no int64 holds it
                 except (KeyError, ValueError, OverflowError):
                     raise ValidationError(f"{path}: line {lineno}: malformed entry") from None
-                if j and key <= keys[j - 1]:
+                if keys and key <= keys[-1]:
                     raise ValidationError(
                         f"{path}: line {lineno}: entry out of order or repeated")
-            return keys, counts
-
-        return cls(discount, ids, parse(2), parse(3))
+                keys.append(key)
+                counts.append(count)
+        return cls(discount, ids, *(tuple(np.array(a, dtype=np.int64) for a in pair)
+                                    for pair in grams.values()))
 
 
 def _padded(ids: dict[str, int], token_lists):
@@ -264,7 +252,7 @@ def train_kn(corpus: DomainCorpus, min_count: int = 1, discount: float = 0.75) -
                      for n in (2, 3)))
     log.debug(
         "trained kn-trigram for '%s': vocab=%d trigram_types=%d",
-        corpus.name, lm.V, len(lm.c3),
+        corpus.name, lm.V, len(lm._trigrams[0]),
     )
     return lm
 

@@ -133,8 +133,9 @@ class Workspace:
 
     def prune(self, listed) -> None:
         """Delete and unrecord every artifact the manifest records that is not
-        in `listed`. Files the manifest never recorded are left alone, and so
-        is an entry's file outside the workspace (a hand-edited manifest)."""
+        in `listed`, and remove the directories those deletions leave empty.
+        Files the manifest never recorded are left alone, and so is an
+        entry's file outside the workspace (a hand-edited manifest)."""
         manifest = self.load_manifest()
         artifacts = manifest["artifacts"]
         orphans = sorted(set(artifacts) - set(listed))
@@ -143,7 +144,13 @@ class Workspace:
                 log.warning("unrecording %s: outside the workspace, not deleted", rel)
             else:
                 log.info("pruning %s: no job of this run lists it", rel)
-                self.path(rel).unlink(missing_ok=True)
+                path = self.path(rel)
+                path.unlink(missing_ok=True)
+                # The directories between the root and the file, innermost first.
+                for parent in path.parents[:len(Path(rel).parts) - 1]:
+                    if not parent.is_dir() or any(parent.iterdir()):
+                        break
+                    parent.rmdir()
             del artifacts[rel]
         if orphans:
             self.save_manifest(manifest)

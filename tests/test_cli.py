@@ -19,7 +19,7 @@ from domainsel.config import load_config, resolve_config, validate_config
 from domainsel.downstream import load_f1_matrix, success_labels
 from domainsel.pipeline import run_pipeline
 from domainsel.simfeat import load_feature_matrix
-from domainsel.synth import SyntheticSpec, synth_domain
+from domainsel.synth import SyntheticSpec, spec_from_config, synth_domain
 from domainsel.workspace import Memo, Workspace
 
 SMALL_CONFIG = {
@@ -52,6 +52,10 @@ def tree_hashes(root: Path) -> dict:
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def tree_dirs(root: Path) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_dir()}
 
 
 @pytest.fixture(scope="module")
@@ -230,13 +234,17 @@ class TestStageCommands:
         ws2 = tmp_path / "ws"
         shutil.copytree(ws_path, ws2)
         old_model = "adapt/msda/syn00__syn01.json"  # an adapt model from before `.bin`
-        (ws2 / "adapt" / "msda").mkdir(parents=True)
-        (ws2 / old_model).write_text("{}")
-        (ws2 / "notes.txt").write_text("mine")  # a user file the manifest never recorded
+        old_sda = "adapt/sda/syn00__syn01.json"  # one beside a user file
         manifest_path = ws2 / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["artifacts"][old_model] = {"stage": "adapt", "key": "old", "seed": 5}
+        for rel in (old_model, old_sda):
+            (ws2 / rel).parent.mkdir(parents=True)
+            (ws2 / rel).write_text("{}")
+            manifest["artifacts"][rel] = {"stage": "adapt", "key": "old", "seed": 5}
         manifest_path.write_text(json.dumps(manifest))
+        # User files the manifest never recorded.
+        (ws2 / "notes.txt").write_text("mine")
+        (ws2 / "adapt" / "sda" / "notes.txt").write_text("also mine")
 
         def assert_kept():
             assert (ws2 / old_model).exists()
@@ -251,12 +259,15 @@ class TestStageCommands:
         run_pipeline(Workspace(ws2), resolved, only_variant="none")  # through report
         assert_kept()
         assert main(["report", *args]) == 0
-        assert not (ws2 / old_model).exists()
+        assert not (ws2 / old_model).exists() and not (ws2 / old_sda).exists()
         assert (ws2 / "notes.txt").read_text() == "mine"
-        # Everything else, manifest.json included, is as the cold build left it.
+        assert (ws2 / "adapt" / "sda" / "notes.txt").read_text() == "also mine"
+        # Everything else, manifest.json included, is as the cold build left
+        # it: the emptied adapt/msda is gone, adapt/sda stays for its user file.
         after = tree_hashes(ws2)
-        del after["notes.txt"]
+        del after["notes.txt"], after["adapt/sda/notes.txt"]
         assert after == tree_hashes(ws_path)
+        assert tree_dirs(ws2) == tree_dirs(ws_path) | {"adapt", "adapt/sda"}
 
     def test_seed_override_changes_data(self, world, tmp_path):
         ws_path, cfg_path = world
@@ -881,6 +892,18 @@ def export_jsonl(spec: SyntheticSpec, root: Path) -> list:
     return sources
 
 
+def export_tsv(spec: SyntheticSpec, root: Path) -> list:
+    """Write each domain of the spec to root/<name>.tsv; return the sources."""
+    sources = []
+    for name in spec.domains:
+        path = root / f"{name}.tsv"
+        rows = [f"{ex.text_a}\t{ex.text_b}\t{ex.label}\n"
+                for ex in synth_domain(spec, name).examples]
+        path.write_text("text_a\ttext_b\tlabel\n" + "".join(rows), encoding="utf-8")
+        sources.append({"name": name, "path": str(path), "format": "tsv"})
+    return sources
+
+
 @pytest.fixture(scope="module")
 def jsonl_world(tmp_path_factory):
     """Three jsonl corpora exported from a tiny generated world."""
@@ -969,6 +992,31 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "stage 'data'" in err and "leave the 'test' split empty" in err
         assert not (ws / "embeddings").exists() or not any((ws / "embeddings").iterdir())
+
+    @pytest.mark.parametrize("export", [export_jsonl, export_tsv])
+    def test_ingest_of_the_synth_corpora_builds_the_same_files(self, export, tmp_path):
+        """Synth and ingest are two ways into one pipeline: ingesting the synth
+        world's corpora, in corpus order and under the same config, builds
+        every workspace file through `features` with the same bytes. Only
+        the manifest differs, since the data jobs read different things."""
+        cfg = {
+            "seed": 4,
+            "data": {"synth": {"domains": 3, "topics": 4, "words_per_topic": 20,
+                               "examples_per_domain": 40, "tokens_per_text": 6,
+                               "mixture_concentration": 0.4, "noise": 0.05}},
+            "embed": {"dim": 6, "epochs": 1},
+        }
+        resolved = resolve_config(validate_config(cfg))
+        run_pipeline(Workspace(tmp_path / "synth"), resolved, upto="features")
+        data = resolved["data"]
+        spec = spec_from_config(data["synth"], data["seed"])
+        ingest = dict(cfg, data={"mode": "ingest", "sources": export(spec, tmp_path)})
+        run_pipeline(Workspace(tmp_path / "ingest"), resolve_config(validate_config(ingest)),
+                     upto="features")
+        synth, ingested = tree_hashes(tmp_path / "synth"), tree_hashes(tmp_path / "ingest")
+        assert "features/features.csv" in synth and len(synth) > 10
+        assert synth.pop("manifest.json") != ingested.pop("manifest.json")
+        assert ingested == synth
 
     def test_deleted_source_row_rebuilds_that_corpus_only(self, jsonl_world, tmp_path):
         _, cfg_path = jsonl_world

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -247,7 +248,20 @@ class TestSaveLoad:
         lm.save(path)
         text = path.read_text().replace("vocab=4", "vocab=5")
         path.write_text(text)
-        with pytest.raises(ValidationError, match="vocab"):
+        with pytest.raises(ValidationError, match="header claims 5 vocab entries, found 4"):
+            TrigramLM.load(path)
+
+    def test_reject_count_line_inside_vocabulary_block(self, tmp_path):
+        # The loader reads every vocabulary line before the first count line.
+        lm = train_kn(corpus_of(["a a a"]))
+        path = tmp_path / "lm.txt"
+        lm.save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        count_line = lines.pop(5)  # the first bigram line
+        assert count_line.startswith("2 ")
+        lines.insert(3, count_line)
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError, match="line 4: header claims 4 vocab entries"):
             TrigramLM.load(path)
 
     def test_reject_vocab_without_padding_tokens(self, tmp_path):
@@ -263,9 +277,29 @@ class TestSaveLoad:
         TrigramLM.load(first).save(second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_codec_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        # 800 texts of 8 tokens over 150 words: a count file of about 12,000
+        # lines. Reading holds the key and count arrays and the model built
+        # from them, not the file's lines as strings; writing holds one chunk
+        # of lines at a time.
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(150)]
+        lm = train_kn(corpus_of([" ".join(rng.choice(words, size=8)) for _ in range(800)]))
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        lm.save(first)
+        size = first.stat().st_size
+        assert len(first.read_text().splitlines()) >= 10_000
+
+        reloaded, load_peak = traced_peak(lambda: TrigramLM.load(first))
+        _, save_peak = traced_peak(lambda: reloaded.save(second))
+        assert load_peak < 8 * size
+        assert save_peak < 2 * size
+        assert second.read_bytes() == first.read_bytes()
+
     @pytest.mark.parametrize("line, problem", [
         ("3 a a zzz 1", "malformed"),
         ("3 a a a x", "malformed"),
+        (f"3 a a a {2**63}", "malformed"),  # a count no int64 holds
         ("2 <s> <s> 1", "out of order or repeated"),
     ])
     def test_reject_bad_count_line(self, tmp_path, line, problem):
@@ -275,6 +309,15 @@ class TestSaveLoad:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(ValidationError, match=problem):
             TrigramLM.load(path)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def scalar_perplexity(train_lists, eval_lists, min_count, D=0.75):

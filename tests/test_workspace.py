@@ -72,6 +72,17 @@ class TestManifest:
         assert ws.path("keep.txt").exists() and ws.path("user.txt").exists()
         assert outside.read_text() == "not ours"
 
+    def test_prune_removes_the_directories_it_empties(self, tmp_path):
+        ws = Workspace(tmp_path / "w")
+        rels = ("keep.txt", "a/b/c/old.txt", "d/e/old.txt", "gone/old.txt")
+        run_demo(ws, [write_job(ws, rel) for rel in rels], "k")
+        ws.path("d/mine.txt").write_text("mine")
+        ws.path("gone/old.txt").unlink()
+        ws.path("gone").rmdir()  # removed by hand before the prune
+        ws.prune(["keep.txt"])
+        left = sorted(p.relative_to(ws.root).as_posix() for p in ws.root.rglob("*"))
+        assert left == ["d", "d/mine.txt", "keep.txt", "manifest.json"]
+
 
 class TestRunStage:
     def test_builds_then_skips(self, tmp_path):
