@@ -93,6 +93,8 @@ _SOURCE_KEYS = {"name", "path", "format", "binarize_threshold"}
 # Integer settings and the least value each may take: the bound the stage
 # that reads it needs, else 0 for a count.
 _LEAST = {
+    "data.synth.domains": 2,
+    "data.synth.topics": 2,
     "data.synth.words_per_topic": 1,
     "data.synth.examples_per_domain": 6,  # 3 pairs of each label
     "data.synth.tokens_per_text": 1,

@@ -15,10 +15,11 @@ the identity-encoded fits, so `cross_domain_matrix` hands exactly those to a
 settings, which returns the kept model instead of training again; an equal
 call already training on another thread is waited for, not repeated.
 Training is deterministic, so a kept model is bit-equal to a fresh fit. An
-adapted off-diagonal fit is asked for once and trains without a memo. The
-memo's owner decides how long the fits live: the pipeline keeps every
-identity fit for one downstream stage, D x seeds of them (about 5 MB at
-`embed.dim` 128 with the default hidden widths).
+adapted off-diagonal fit is asked for once and never kept, but every fit
+takes its initial draw, one per seed and layer widths, from the same memo.
+The memo's owner decides how long both live: the pipeline keeps them for one
+downstream stage, D x seeds identity fits (about 5 MB at `embed.dim` 128
+with the default hidden widths) and one draw per seed and input width.
 """
 from __future__ import annotations
 
@@ -106,16 +107,15 @@ class PairClassifier:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=8)
 def _initial_state(seed: int, d: int, h1: int, h2: int):
     """Initial float32 weights of a (d, h1, h2) classifier and the generator
     state after them.
 
     The weights are drawn in float64 and rounded, so the generator stream
-    does not depend on the training precision. Every fit with the same key
-    starts from the same draw, so it is made once. The arrays are read-only
-    (Adam copies them); restore the state into a fresh generator, never
-    mutate it.
+    does not depend on the training precision. Every fit with the same
+    arguments starts from the same draw, so a memo may keep it, keyed by
+    them. The arrays are read-only (Adam copies them); restore the state
+    into a fresh generator, never mutate it.
     """
     rng = np.random.default_rng(seed)
     draws = (
@@ -144,6 +144,7 @@ def train_pair_classifier(
     batch: int = 32,
     lr: float = 1e-3,
     cache: Memo | None = None,
+    draws: Memo | None = None,
 ) -> PairClassifier:
     """Binary cross-entropy training with early stopping on validation F1.
 
@@ -153,7 +154,8 @@ def train_pair_classifier(
     counts as epoch 0), so the selected model never scores below it; its
     parameters are read-only. With a `cache`, an equal earlier call's model
     is returned from it, keyed by the float32 inputs (see the module
-    docstring); without one, the call trains.
+    docstring); without one, the call trains. A training takes its initial
+    draw from `draws`, or makes it without one.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.float64)
@@ -174,17 +176,18 @@ def train_pair_classifier(
     X_train, y_train, X_val, y_val = (
         a.astype(np.float32) for a in (X_train, y_train, X_val, y_val))
     settings = (seed, tuple(hidden), max_epochs, patience, batch, lr)
+    train = functools.partial(_fit, X_train, y_train, X_val, y_val, *settings, draws)
     if cache is None:
-        return _fit(X_train, y_train, X_val, y_val, *settings)
+        return train()
     h = hashlib.sha256(repr(settings).encode())
     for a in (X_train, y_train, X_val, y_val):
         h.update(repr(a.shape).encode())
         h.update(np.ascontiguousarray(a))
-    train = functools.partial(_fit, X_train, y_train, X_val, y_val, *settings)
     return cache.get(h.hexdigest(), train)
 
 
-def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr):
+def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, batch, lr,
+         draws):
     """The training loop of `train_pair_classifier`, on checked float32
     inputs; the returned parameters are float32 and read-only.
 
@@ -193,7 +196,9 @@ def _fit(X_train, y_train, X_val, y_val, seed, hidden, max_epochs, patience, bat
     promotion; a float64 NumPy scalar would promote it under NumPy 2.
     """
     n, d = X_train.shape
-    init, state = _initial_state(seed, d, *hidden)
+    key = (seed, d, *hidden)
+    init, state = (_initial_state(*key) if draws is None
+                   else draws.get(key, lambda: _initial_state(*key)))
     rng = np.random.default_rng(seed)
     rng.bit_generator.state = state
     opt = Adam(init, lr=lr)
@@ -289,6 +294,7 @@ def cross_domain_matrix(
     that is asked for once per such pair. Every seed trains on the same rows.
     The identity-encoded fits (every `none` pair and every diagonal) go
     through `cache` for reuse; the others are asked for once and train.
+    Every training takes its initial draw from `cache` too.
     """
     domains = tuple(domains)
     seeds = tuple(seeds)
@@ -305,7 +311,7 @@ def cross_domain_matrix(
             for seed in seeds:
                 clf = train_pair_classifier(X_tr, y_tr, X_va, y_va, seed=seed,
                                             cache=cache if identity else None,
-                                            **train_kwargs)
+                                            draws=cache, **train_kwargs)
                 per_seed[seed][i, j] = f1_score(clf.predict(X_te), y_te)
         log.debug("f1 matrix variant=%s source=%s done", variant, source)
     mean = np.mean([per_seed[s] for s in sorted(per_seed)], axis=0)

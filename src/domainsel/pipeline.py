@@ -70,12 +70,6 @@ def _check_stages(cfg: dict, upto: str) -> None:
     data = cfg["data"]
     if data["mode"] == "synth":
         key = "data.synth.domains"
-        for field in ("domains", "topics"):
-            if data["synth"][field] < 2:
-                raise ValidationError(
-                    f"config key 'data.synth.{field}' must be >= 2, "
-                    f"got {data['synth'][field]}"
-                )
         # split() rejects a corpus that leaves a split empty. Synthetic labels
         # alternate from 0, and split() sizes each label's share on its own.
         n = data["synth"]["examples_per_domain"]
@@ -342,7 +336,7 @@ def _downstream_outputs(variant: str, seeds) -> list:
 def _downstream_jobs(ws: Workspace, cfg: dict) -> list:
     d = cfg["downstream"]
     names = domain_names(cfg)
-    fits = Memo()  # the identity-encoded fits, shared by the variant jobs
+    fits = Memo()  # identity fits and initial draws, shared by the variant jobs
 
     def make(variant):
         def build():

@@ -78,10 +78,6 @@ class UnigramDistribution:
         if np.any(self.probs < 0):
             raise ValidationError("negative probability")
 
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(t for t, p in zip(self.tokens, self.probs) if p > 0)
-
 
 def coverage(source_stats: UnigramStats, target_stats: UnigramStats) -> tuple[float, float]:
     """(f1, f2): shared-unigram fraction of each side's vocabulary."""

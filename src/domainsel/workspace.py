@@ -15,7 +15,7 @@ the file again, as long as the file still has the bytes it was kept with.
 A file that no job kept is loaded by its first `read`, once, also when pool
 threads ask for it at the same time. Both go through a `Memo`, the one
 mechanism for reuse within a run, which also keeps the downstream stage's
-fits.
+identity fits and initial draws.
 """
 from __future__ import annotations
 
@@ -52,7 +52,8 @@ class Memo:
     A thread that asks for a key another thread is making waits for that
     result, error included. A failed `make` leaves no entry, so a later call
     makes it again. Values are shared, so they must be immutable; they stay
-    as long as the memo does.
+    as long as the memo does, so its owner bounds them: one run for a
+    workspace's files, one downstream stage for its fits and draws.
     """
 
     def __init__(self):

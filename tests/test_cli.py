@@ -437,6 +437,34 @@ def test_downstream_trains_each_distinct_fit_once(tmp_path, monkeypatch):
     assert f1["2"] == f1["1"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_downstream_draws_once_per_seed_and_width(tmp_path, monkeypatch, jobs):
+    """Nine seeds and two input widths (`none` and `msda`): the stage makes
+    one initial draw per (seed, input width), whatever the number of fits
+    that start from it, also with the variant jobs on the pool."""
+    import domainsel.downstream as downstream_mod
+
+    open_pool(monkeypatch)
+    draws = []
+    real = downstream_mod._initial_state
+
+    def counted(seed, d, h1, h2):
+        draws.append((seed, d))
+        return real(seed, d, h1, h2)
+
+    monkeypatch.setattr(downstream_mod, "_initial_state", counted)
+    seeds = list(range(9))
+    cfg = dict(VARIANTS_CONFIG, adapt=dict(VARIANTS_CONFIG["adapt"], variants=["none", "msda"]),
+               downstream=dict(VARIANTS_CONFIG["downstream"], seeds=seeds))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["downstream", "--workspace", str(tmp_path / "ws"), "--config",
+                 str(cfg_path), "--jobs", jobs]) == 0
+    widths = {d for _, d in draws}
+    assert len(widths) == 2
+    assert sorted(draws) == sorted((s, d) for s in seeds for d in widths)
+
+
 def _count_sentence_loads(monkeypatch):
     """Record each sentence file np.load reads, and the writeable flag of
     every array downstream hands to cross_domain_matrix."""

@@ -80,6 +80,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match=key.replace(".", r"\.")):
             validate_config(given)
 
+    @pytest.mark.parametrize("field", ["domains", "topics"])
+    def test_synth_needs_two_domains_and_topics(self, field):
+        # Checked when the config loads, so every command rejects it.
+        with pytest.raises(ValidationError,
+                           match=f"config key 'data.synth.{field}' must be >= 2, got 1$"):
+            validate_config({"data": {"synth": {field: 1}}})
+
     def test_smallest_sizes_accepted(self):
         cfg = validate_config({"downstream": {"batch": 1, "hidden": [1, 1]},
                                "adapt": {"sda_batch": 1}})

@@ -22,6 +22,7 @@ from domainsel.downstream import (
     train_pair_classifier,
 )
 from domainsel.optim import Adam
+from domainsel.workspace import Memo
 
 
 class ReferenceAdam:
@@ -245,14 +246,15 @@ class TestTrainingLoopsBitEqual:
                     assert layer[key].tobytes() == want[key].tobytes()
 
 
-def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4), lr=0.01):
+def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4), lr=0.01, draws=None):
     clf = train_pair_classifier(X, y, Xv, yv, seed=seed, hidden=hidden,
-                                max_epochs=6, patience=3, batch=8, lr=lr)
+                                max_epochs=6, patience=3, batch=8, lr=lr, draws=draws)
     return b"".join(p.tobytes() for p in clf.params)
 
 
 class TestInitialStateCache:
-    """Fits restore a cached initial draw; no call history may show in the bits."""
+    """Fits restore an initial draw that a memo keeps; no call history may
+    show in the bits."""
 
     def test_fit_independent_of_call_history(self):
         # Every call below passes no fit cache, so every call trains.
@@ -264,42 +266,47 @@ class TestInitialStateCache:
                 X, y, Xv, yv, 3, hidden=(8, 4), max_epochs=6, patience=3, batch=8, lr=lr))
 
         want = reference(0.01)
-        _initial_state.cache_clear()
-        assert fit_bytes(X, y, Xv, yv, 3) == want  # cold
+        assert fit_bytes(X, y, Xv, yv, 3) == want  # drawn for this call
+        draws = Memo()
+        assert fit_bytes(X, y, Xv, yv, 3, draws=draws) == want  # cold
         X9, y9 = classification_set(40, 9, 1)
         Xv9, yv9 = classification_set(20, 9, 101)
-        fit_bytes(X, y, Xv, yv, 4)  # another seed
-        fit_bytes(X9, y9, Xv9, yv9, 3)  # another input width
-        fit_bytes(X, y, Xv, yv, 3, hidden=(5, 3))  # other hidden widths
-        assert fit_bytes(X, y, Xv, yv, 3) == want  # warm
+        fit_bytes(X, y, Xv, yv, 4, draws=draws)  # another seed
+        fit_bytes(X9, y9, Xv9, yv9, 3, draws=draws)  # another input width
+        fit_bytes(X, y, Xv, yv, 3, hidden=(5, 3), draws=draws)  # other hidden widths
+        assert fit_bytes(X, y, Xv, yv, 3, draws=draws) == want  # warm
 
         # Four fits that share one initial draw, two at a time.
         lrs = (0.01, 0.02, 0.03, 0.04)
         wants = [reference(lr) for lr in lrs]
-        _initial_state.cache_clear()
+        draws = Memo()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(fit_bytes, X, y, Xv, yv, 3, lr=lr) for lr in lrs]
+                futures = [pool.submit(fit_bytes, X, y, Xv, yv, 3, lr=lr, draws=draws)
+                           for lr in lrs]
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         assert results == wants
 
     def test_cached_arrays_read_only(self):
-        init, state = _initial_state(7, 5, 4, 3)
+        init, _ = _initial_state(7, 5, 4, 3)
         assert [a.shape for a in init] == [(4, 5), (4,), (3, 4), (3,), (1, 3), (1,)]
         for a in init:
             assert a.dtype == np.float32
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
-        again, again_state = _initial_state(7, 5, 4, 3)
-        assert again is init and again_state is state
-        # Training never writes into the cached draw.
+        # Training never writes into the kept draw, keyed by
+        # (seed, input width, hidden widths).
         X, y = classification_set(30, 5, 2)
-        before = [a.copy() for a in init]
-        train_pair_classifier(X, y, X, y, seed=7, hidden=(4, 3), max_epochs=3, lr=0.05)
-        for a, b in zip(init, before):
-            assert a.tobytes() == b.tobytes()
+        draws = Memo()
+        for _ in range(2):
+            train_pair_classifier(X, y, X, y, seed=7, hidden=(4, 3), max_epochs=3, lr=0.05,
+                                  draws=draws)
+            kept, _ = draws.get((7, 5, 4, 3), pytest.fail)
+            for a, b in zip(kept, init):
+                assert not a.flags.writeable
+                assert a.tobytes() == b.tobytes()
