@@ -1,11 +1,14 @@
 """Scale smoke: build a 3,000-example-per-domain world staged, one child
-process per command (`embed`, then `lm`, then `features` on the same
-workspace), and fail unless each command exits 0 under a peak-RSS bound.
+process per command (`embed`, then `lm`, then `features`, then `downstream`
+on the same workspace), and fail unless each command exits 0 under a
+peak-RSS bound.
 
 The skipgram stage's memory should grow with the token count, not with the
 number of (center, context) pairs, and the features stage should not hold
 the language models' count files as strings; this world is large enough for
-either difference to show (see CHANGES.md for the measured peaks).
+either difference to show. The downstream stage (two epochs per pair
+classifier here) reads every corpus and sentence array of the world and
+must fit under the same bound (see CHANGES.md for the measured peaks).
 
     python ci/scale_smoke.py
 
@@ -23,8 +26,9 @@ import tempfile
 import time
 from pathlib import Path
 
-CONFIG = {"data": {"synth": {"examples_per_domain": 3000}}, "embed": {"epochs": 1}}
-COMMANDS = ("embed", "lm", "features")
+CONFIG = {"data": {"synth": {"examples_per_domain": 3000}}, "embed": {"epochs": 1},
+          "downstream": {"max_epochs": 2}}
+COMMANDS = ("embed", "lm", "features", "downstream")
 LIMIT_MB = 100
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -2,7 +2,7 @@
 
 Every subcommand runs the pipeline up to its stage, reusing artifacts
 whose inputs have not changed. Exit codes: 0 success, 1 invalid input or
-config, 2 a computation failed. Argument and config errors exit before
+config or a workspace that another run holds, 2 a computation failed. Argument and config errors exit before
 numpy loads: the pipeline is imported only once they are checked, and it
 checks the config-only preconditions of every stage the command reaches
 before it builds anything.

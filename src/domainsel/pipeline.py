@@ -7,6 +7,10 @@ it reads; the job's key hashes both (file bytes, not timestamps), and the job
 runs only when an output is missing or was recorded under another key.
 Every artifact is reproduced byte-identically from the same config and
 seeds, so reruns and parallel runs are interchangeable.
+
+A run first `plan`s every stage it reaches, then runs the plan in order. The
+input lists of the plan say when each file is last read, and the workspace
+stops holding a file's object when that stage ends.
 """
 from __future__ import annotations
 
@@ -119,9 +123,14 @@ def _check_stages(cfg: dict, upto: str) -> None:
 
 
 def _phase_keys(ws: Workspace, stage: str, phase) -> dict:
-    """First output -> key of each (job, config values, input relpaths)."""
+    """First output -> key of each (job, config values, input relpaths).
+
+    Config values given as a function are read here, once the earlier
+    phases have written what they derive from.
+    """
     digests = {rel: file_sha256(ws.path(rel)) for rel in {r for _, _, ins in phase for r in ins}}
-    return {job.outputs[0]: config_hash([stage, reads, [[r, digests[r]] for r in inputs]])
+    return {job.outputs[0]: config_hash([stage, reads() if callable(reads) else reads,
+                                         [[r, digests[r]] for r in inputs]])
             for job, reads, inputs in phase}
 
 
@@ -320,9 +329,13 @@ def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
             model.save(ws.path(_adapt_path(variant, s, t)))
         return build
 
+    # The plan holds these D^2 x variants jobs from the start of the run, so
+    # they share their values per variant and their input paths per domain.
+    reads = {v: dict(settings, variant=v, seed=seed) for v in cfg["adapt"]["variants"]}
+    train = {n: _train_sentences(n) for n in names}
     jobs = [
         (Job([_adapt_path(v, s, t)], make(v, s, t), note=f"{v}:{s}->{t}"),
-         dict(settings, variant=v, seed=seed), _train_sentences(s, t))
+         reads[v], train[s] + train[t])
         for v in cfg["adapt"]["variants"] for s, t in _adapted_pairs(v, names)
     ]
     return [jobs] if jobs else []
@@ -443,6 +456,10 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
         return build
 
     common = {k: m[k] for k in ("trees", "depth", "learning_rate", "seed")}
+
+    def predictor_reads(variant):
+        return dict(common, success=_success_reads(ws, variant, threshold))
+
     jobs = []
     for mode in m["modes"]:
         if only_mode and mode != only_mode:
@@ -454,7 +471,7 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
             outputs += [_meta_model_path(mode, variant, t) for t in names]
             inputs = [FEATURES_CSV, *_downstream_outputs(variant, cfg["downstream"]["seeds"])]
             if mode == "predictor":
-                reads = dict(common, success=_success_reads(ws, variant, threshold))
+                reads = partial(predictor_reads, variant)
             else:
                 reads = dict(common, repeats=m["repeats"])
             jobs.append((Job(outputs, make(mode, variant), note=f"{mode}:{variant}"),
@@ -530,7 +547,7 @@ def _report_jobs(ws: Workspace, cfg: dict) -> list:
             for mode in modes]
     jobs.append((Job(["report/table2.csv", "report/table2.txt"], build_table2_job,
                      note="table2"),
-                 {v: _success_reads(ws, v, threshold) for v in variants}, f1_files))
+                 lambda: {v: _success_reads(ws, v, threshold) for v in variants}, f1_files))
     for s, t in cfg["report"]["pca_pairs"]:
         jobs.append((Job([_pca_path(s, t)], make_pca(s, t), note=f"pca:{s}->{t}"), None,
                      _train_sentences(s, t)))
@@ -584,6 +601,8 @@ def _threads(ws: Workspace, cfg: dict, stage: str, n_jobs: int) -> int:
 
 # Each builder returns its stage's phases, run in order: lists of (job, the
 # config values it reads, the workspace files it reads), which key the job.
+# Values derived from an earlier stage's outputs are given as a function
+# that reads them, so that building the phases reads no workspace file.
 _STAGE_BUILDERS = {
     "data": _data_jobs,
     "embed": _embed_jobs,
@@ -594,6 +613,33 @@ _STAGE_BUILDERS = {
     "meta": _meta_jobs,
     "report": _report_jobs,
 }
+
+
+def plan(ws: Workspace, cfg: dict, upto: str = "report",
+         only_mode: str | None = None, only_variant: str | None = None) -> list:
+    """(stage, phases) of every stage through `upto`, in run order.
+
+    Planning reads no workspace file, so a plan made before the run starts
+    is the plan the run executes.
+    """
+    return [(stage, _meta_jobs(ws, cfg, only_mode, only_variant) if stage == "meta"
+             else _STAGE_BUILDERS[stage](ws, cfg))
+            for stage in STAGES[: STAGES.index(upto) + 1]]
+
+
+def _last_uses(stages) -> list:
+    """For each planned stage, the workspace files that it or an earlier
+    stage lists (as output or input) and that no later stage lists as an
+    input: their objects are dead once the stage ends."""
+    last = {}
+    for i, (_, phases) in enumerate(stages):
+        for phase in phases:
+            for job, _, inputs in phase:
+                last.update(dict.fromkeys((*job.outputs, *inputs), i))
+    ends = [[] for _ in stages]
+    for rel, i in last.items():
+        ends[i].append(rel)
+    return ends
 
 
 def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
@@ -608,39 +654,50 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
     stage runs its jobs serially.
     `only_mode`/`only_variant` narrow which meta models get built without
     touching any job's key, so a later full run reuses everything.
+    The run holds the workspace's lock throughout, and releases each kept
+    object when the last stage that reads its file ends.
     """
     if upto not in STAGES:
         raise ValidationError(f"unknown stage {upto!r}")
     _check_stages(resolved, upto)
+    stages = plan(ws, resolved, upto, only_mode, only_variant)
+    dead_after = _last_uses(stages)
     results = {}
-    for stage in STAGES[: STAGES.index(upto) + 1]:
-        combined = StageResult()
-        threads = _threads(ws, resolved, stage, n_jobs)
-        if stage == "meta":
-            phases = _meta_jobs(ws, resolved, only_mode, only_variant)
-        else:
-            phases = _STAGE_BUILDERS[stage](ws, resolved)
-        for phase in phases:
-            done = run_stage(ws, stage, _phase_keys(ws, stage, phase),
-                             [job for job, _, _ in phase],
-                             n_jobs=threads,
-                             seed=resolved[stage].get("seed"))
-            combined.built.extend(done.built)
-            combined.skipped.extend(done.skipped)
-        if stage == "data":
-            registered = domain_names(resolved)
-            orphans = {p.stem for p in ws.path("corpora").glob("*.json")} - set(registered)
-            if orphans:
-                log.warning("ignoring corpora of domains not in the config: %s",
-                            ", ".join(sorted(orphans)))
-            manifest = ws.load_manifest()
-            if manifest.get("domains") != registered:
-                manifest["domains"] = registered
-                ws.save_manifest(manifest)
-        results[stage] = combined
-        log.info("stage %s: %d built, %d fresh", stage,
-                 len(combined.built), len(combined.skipped))
-    if upto == STAGES[-1] and only_mode is None and only_variant is None:
-        # Only a full run lists every output the config asks for.
-        ws.prune(rel for r in results.values() for rel in r.built + r.skipped)
+    with ws.lock():
+        while stages:
+            # Popped, so that a stage's phases, and the memo its jobs share,
+            # go when the next stage starts.
+            stage, phases = stages.pop(0)
+            results[stage] = _run_phases(ws, resolved, stage, phases, n_jobs)
+            ws.release(dead_after.pop(0))
+        if upto == STAGES[-1] and only_mode is None and only_variant is None:
+            # Only a full run lists every output the config asks for.
+            ws.prune(rel for r in results.values() for rel in r.built + r.skipped)
     return results
+
+
+def _run_phases(ws: Workspace, resolved: dict, stage: str, phases,
+                n_jobs: int) -> StageResult:
+    """Run one stage's phases in order; what they built and found fresh."""
+    combined = StageResult()
+    threads = _threads(ws, resolved, stage, n_jobs)
+    for phase in phases:
+        done = run_stage(ws, stage, _phase_keys(ws, stage, phase),
+                         [job for job, _, _ in phase],
+                         n_jobs=threads,
+                         seed=resolved[stage].get("seed"))
+        combined.built.extend(done.built)
+        combined.skipped.extend(done.skipped)
+    if stage == "data":
+        registered = domain_names(resolved)
+        orphans = {p.stem for p in ws.path("corpora").glob("*.json")} - set(registered)
+        if orphans:
+            log.warning("ignoring corpora of domains not in the config: %s",
+                        ", ".join(sorted(orphans)))
+        manifest = ws.load_manifest()
+        if manifest.get("domains") != registered:
+            manifest["domains"] = registered
+            ws.save_manifest(manifest)
+    log.info("stage %s: %d built, %d fresh", stage,
+             len(combined.built), len(combined.skipped))
+    return combined

@@ -15,16 +15,24 @@ the file again, as long as the file still has the bytes it was kept with.
 A file that no job kept is loaded by its first `read`, once, also when pool
 threads ask for it at the same time. Both go through a `Memo`, the one
 mechanism for reuse within a run, which also keeps the downstream stage's
-identity fits and initial draws.
+identity fits and initial draws. A kept or read object lives until the run
+`release`s its file: `pipeline.run_pipeline` does so when the last stage
+whose jobs list the file as an input ends. A `read` after that loads the
+file again.
+
+One process writes a workspace at a time: a run holds `lock`, an exclusive
+lock on the workspace directory itself, so it leaves no lock file behind.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,8 +60,9 @@ class Memo:
     A thread that asks for a key another thread is making waits for that
     result, error included. A failed `make` leaves no entry, so a later call
     makes it again. Values are shared, so they must be immutable; they stay
-    as long as the memo does, so its owner bounds them: one run for a
-    workspace's files, one downstream stage for its fits and draws.
+    until their owner `discard`s them or drops the memo: a workspace's files
+    until their last reading stage ends, a downstream stage's fits and draws
+    until that stage ends.
     """
 
     def __init__(self):
@@ -84,6 +93,13 @@ class Memo:
         pending.set_result(value)
         return value
 
+    def discard(self, match) -> None:
+        """Forget the value of every key for which `match(key)` is true; a
+        later `get` of such a key makes it again."""
+        with self._lock:
+            for key in [key for key in self._values if match(key)]:
+                del self._values[key]
+
 
 class Workspace:
     def __init__(self, root):
@@ -96,7 +112,9 @@ class Workspace:
     def keep(self, rel: str, obj) -> None:
         """Hand `obj`, just saved to `rel`, to later reads in this run.
 
-        Kept objects are shared, so they must be immutable.
+        Kept objects are shared, so they must be immutable. The workspace
+        holds `obj` until `release` names `rel`: in a pipeline run, until
+        the last stage that lists `rel` as an input ends.
         """
         self._memo.get((rel, file_sha256(self.path(rel))), lambda: obj)
 
@@ -109,6 +127,33 @@ class Workspace:
         """
         path = self.path(rel)
         return self._memo.get((rel, file_sha256(path)), lambda: load(path))
+
+    def release(self, rels) -> None:
+        """Stop holding the objects kept or read for the files `rels`; a
+        later `read` of one loads it again."""
+        rels = set(rels)
+        self._memo.discard(lambda key: key[0] in rels)
+
+    @contextmanager
+    def lock(self):
+        """Hold the workspace for this process while the block runs.
+
+        The lock is an exclusive `flock` on the workspace directory, so it
+        leaves no file behind and ends with the process. A second holder,
+        in this process or another, gets a ValidationError naming the
+        workspace.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ValidationError(
+                    f"workspace {self.root} is in use by another run") from None
+            yield
+        finally:
+            os.close(fd)  # releases the lock
 
     def load_manifest(self) -> dict:
         path = self.root / MANIFEST_NAME

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +533,56 @@ def test_downstream_reads_inputs_once(tmp_path, monkeypatch, jobs):
     assert writeable and not any(writeable)
 
 
+def test_kept_objects_live_until_their_last_reading_stage(tmp_path, monkeypatch):
+    """The workspace lets go of a kept object once no later stage lists its
+    file as an input: the global table after embed, the per-domain tables
+    and language models after features, the corpora and the sentence
+    arrays that only downstream reads after downstream. The arrays that
+    the report's projection reads stay through report, never reloaded."""
+    import domainsel.pipeline as pipeline_mod
+
+    kept, alive = {}, []
+    real_keep, real_stage = Workspace.keep, pipeline_mod.run_stage
+
+    def recorded_keep(self, rel, obj):
+        kept[rel] = weakref.ref(obj)
+        real_keep(self, rel, obj)
+
+    def recorded_stage(ws, stage, *args, **kwargs):
+        alive.append((stage, {rel for rel, ref in kept.items() if ref() is not None}))
+        return real_stage(ws, stage, *args, **kwargs)
+
+    monkeypatch.setattr(Workspace, "keep", recorded_keep)
+    monkeypatch.setattr(pipeline_mod, "run_stage", recorded_stage)
+    loads, _ = _count_sentence_loads(monkeypatch)
+    cfg = dict(VARIANTS_CONFIG, meta={"modes": []},
+               report={"pca_pairs": [["syn00", "syn01"]]})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["report", "--workspace", str(tmp_path / "ws"),
+                 "--config", str(cfg_path)]) == 0
+    # What was alive when each stage started, before its first phase ran;
+    # no garbage collection, so a dropped object went with its last reference.
+    at_start = {}
+    for stage, rels in alive:
+        at_start.setdefault(stage, rels)
+
+    def held(stage, prefix):
+        return {rel for rel in at_start[stage] if rel.startswith(prefix)}
+
+    names = ["syn00", "syn01", "syn02"]
+    tables = {f"embeddings/{n}.txt" for n in names}
+    projected = {f"sentences/{n}_train_{side}.npy" for n in names[:2] for side in "ab"}
+    assert held("lm", "embeddings/") == tables
+    assert held("features", "lms/") == {f"lms/{n}.txt" for n in names}
+    assert held("adapt", "embeddings/") == held("adapt", "lms/") == set()
+    assert held("adapt", "corpora/") == {f"corpora/{n}.json" for n in names}
+    assert len(held("downstream", "sentences/")) == 18
+    assert held("meta", "corpora/") == set()
+    assert held("meta", "sentences/") == held("report", "sentences/") == projected
+    assert loads == []
+
+
 def readme_quick_start() -> str:
     """The first JSON block of the README's quick start, verbatim."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -905,6 +956,39 @@ class TestErrors:
         monkeypatch.setattr(pipeline_mod, "train_kn", real)
         assert main(["lm", "--workspace", str(tmp_path / "ws"), "--config", str(cfg)]) == 0
         assert len(list((tmp_path / "ws" / "lms").glob("*.txt"))) == 6
+
+    def test_workspace_in_use_by_another_process(self, tmp_path, capsys):
+        """A run is refused while another process holds the workspace, and
+        builds nothing; once that process is gone the run succeeds and
+        leaves no lock file."""
+        ws = tmp_path / "ws"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(VARIANTS_CONFIG))
+        args = ["synth", "--workspace", str(ws), "--config", str(cfg)]
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_WORKSPACE, str(ws)],
+            env=dict(os.environ, PYTHONPATH=str(Path(domainsel.__file__).parents[1])),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert main(args) == 1
+            assert f"workspace {ws} is in use" in capsys.readouterr().err
+            assert list(ws.iterdir()) == []
+        finally:
+            holder.stdin.close()
+            holder.stdout.close()
+            assert holder.wait(timeout=60) == 0
+        assert main(args) == 0
+        assert sorted(p.name for p in ws.iterdir()) == ["corpora", "manifest.json"]
+
+
+HOLD_WORKSPACE = """
+import sys
+from domainsel.workspace import Workspace
+with Workspace(sys.argv[1]).lock():
+    print("held", flush=True)
+    sys.stdin.read()
+"""
 
 
 def export_jsonl(spec: SyntheticSpec, root: Path) -> list:

@@ -256,6 +256,22 @@ class TestHandOff:
         assert Workspace(tmp_path).read("a.txt", self.loader(loads)) == first
         assert loads == ["a.txt", "a.txt"]  # each workspace object keeps its own
 
+    def test_released_file_loads_once_more(self, tmp_path):
+        ws = Workspace(tmp_path)
+        ws.path("a.txt").write_text("one")
+        ws.path("b.txt").write_text("two")
+        kept_a, kept_b = {"kept": "one"}, {"kept": "two"}
+        ws.keep("a.txt", kept_a)
+        ws.keep("b.txt", kept_b)
+        ws.release(["a.txt"])
+        loads = []
+        first = ws.read("a.txt", self.loader(loads))
+        assert first == {"loaded": "one"}
+        assert ws.read("a.txt", self.loader(loads)) is first
+        assert loads == ["a.txt"]
+        assert ws.read("b.txt", self.loader(loads)) is kept_b
+        assert loads == ["a.txt"]
+
     def test_concurrent_reads_load_each_file_once(self, tmp_path):
         ws = Workspace(tmp_path)
         names = ["a.txt", "b.txt"]
