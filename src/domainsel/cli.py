@@ -2,10 +2,10 @@
 
 Every subcommand runs the pipeline up to its stage, reusing artifacts
 whose inputs have not changed. Exit codes: 0 success, 1 invalid input or
-config or a workspace that another run holds, 2 a computation failed. Argument and config errors exit before
-numpy loads: the pipeline is imported only once they are checked, and it
-checks the config-only preconditions of every stage the command reaches
-before it builds anything.
+config or a workspace that another run holds, 2 a computation failed.
+Argument and config errors exit before numpy loads: the pipeline is
+imported only once they are checked, and it checks the config-only
+preconditions of every stage the command reaches before it builds anything.
 """
 from __future__ import annotations
 
@@ -45,11 +45,6 @@ _STAGE_OF = {
     "report": "report",
     "pipeline": "report",
 }
-
-# `dt` is the plain decision-tree baseline: meta models over unadapted
-# representations.
-_VARIANT_ALIASES = {"dt": "none"}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -98,18 +93,22 @@ def _load(args) -> dict:
     return resolve_config(cfg, seed_override=args.seed)
 
 
-def _meta_restriction(resolved: dict, args) -> tuple:
-    only_mode = args.mode
-    only_variant = None
+def _narrow_meta(resolved: dict, args) -> None:
+    """Narrow `adapt.variants` and `meta.modes` to `meta --variant/--mode`.
+    No job key reads either list, so a later full run reuses what this builds."""
     if args.variant:
-        only_variant = _VARIANT_ALIASES.get(args.variant, args.variant)
-        if only_variant not in resolved["adapt"]["variants"]:
+        # `dt` is the plain decision-tree baseline: meta models over
+        # unadapted representations.
+        variant = "none" if args.variant == "dt" else args.variant
+        if variant not in resolved["adapt"]["variants"]:
             raise ValidationError(
                 f"variant {args.variant!r} is not in adapt.variants"
             )
-    if only_mode and only_mode not in resolved["meta"]["modes"]:
-        raise ValidationError(f"mode {only_mode!r} is not in meta.modes")
-    return only_mode, only_variant
+        resolved["adapt"]["variants"] = [variant]
+    if args.mode:
+        if args.mode not in resolved["meta"]["modes"]:
+            raise ValidationError(f"mode {args.mode!r} is not in meta.modes")
+        resolved["meta"]["modes"] = [args.mode]
 
 
 def _copy_report(ws: Workspace, outputs, out_dir: str) -> None:
@@ -130,14 +129,18 @@ def run(args) -> int:
             f"the {args.command} command needs data.mode '{args.command}', "
             f"but the config says '{mode}'"
         )
-    only_mode = only_variant = None
     if args.command == "meta":
-        only_mode, only_variant = _meta_restriction(resolved, args)
+        _narrow_meta(resolved, args)
+    if args.command == "report" and args.out:
+        # The copy's directory: an existing one, or a path mkdir can make.
+        out = Path(args.out)
+        first = next(p for p in (out, *out.parents) if p.exists())
+        if not first.is_dir():
+            raise ValidationError(f"--out {args.out}: {first} is not a directory")
     from .pipeline import run_pipeline  # loads numpy; the checks above do not
 
     ws = Workspace(args.workspace)
-    results = run_pipeline(ws, resolved, upto=_STAGE_OF[args.command], n_jobs=args.jobs,
-                           only_mode=only_mode, only_variant=only_variant)
+    results = run_pipeline(ws, resolved, upto=_STAGE_OF[args.command], n_jobs=args.jobs)
     if args.command == "report" and args.out:
         report = results["report"]
         _copy_report(ws, report.built + report.skipped, args.out)

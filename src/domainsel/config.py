@@ -261,9 +261,9 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except OSError as e:  # missing, a directory, unreadable
+        raise ValidationError(f"config file {path} cannot be read: {e.strerror}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
         raise ValidationError(f"config file {path} is not valid JSON: {e}") from e
     return validate_config(obj)
 

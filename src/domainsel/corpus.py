@@ -233,12 +233,17 @@ def load_domain(path, format: str, name: str, binarize_threshold: float | None =
 
     examples: list[TextPairExample] = []
     rejected = 0
-    for lineno, rec in records:
-        ex = _record_to_example(rec, binarize_threshold, f"{path}: line {lineno}")
-        if not all(ex.tokens):
-            rejected += 1
-            continue
-        examples.append(ex)
+    try:
+        for lineno, rec in records:
+            ex = _record_to_example(rec, binarize_threshold, f"{path}: line {lineno}")
+            if not all(ex.tokens):
+                rejected += 1
+                continue
+            examples.append(ex)
+    except OSError as e:  # missing, a directory, unreadable
+        raise ValidationError(f"corpus source {path} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"corpus source {path} is not UTF-8: {e}") from None
     if rejected:
         log.warning("%s: rejected %d record(s) with empty-after-tokenization text", name, rejected)
     if not examples:

@@ -4,7 +4,7 @@ Word vectors are trained with negative sampling, once on the merged corpus
 and once per domain. The pipeline seeds each per-domain table separately
 (`child_seed(seed, "table", name)`) over its own vocabulary, so coordinates
 are not aligned across domains and the word-vector-variance feature that
-compares them carries little signal (ROADMAP item 3). Sentence vectors are
+compares them carries little signal (see ROADMAP). Sentence vectors are
 the mean of a trained table's word vectors.
 
 Training holds the corpus as one flat array of token ids with per-text

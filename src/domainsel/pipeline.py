@@ -408,8 +408,7 @@ def _meta_model_path(mode: str, variant: str, target: str) -> str:
     return f"meta/{mode}_{variant}_model_{target}.json"
 
 
-def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
-               only_variant: str | None = None) -> list:
+def _meta_jobs(ws: Workspace, cfg: dict) -> list:
     m = cfg["meta"]
     threshold = cfg["downstream"]["success_threshold"]
     names = domain_names(cfg)
@@ -462,11 +461,7 @@ def _meta_jobs(ws: Workspace, cfg: dict, only_mode: str | None = None,
 
     jobs = []
     for mode in m["modes"]:
-        if only_mode and mode != only_mode:
-            continue
         for variant in cfg["adapt"]["variants"]:
-            if only_variant and variant != only_variant:
-                continue
             outputs = [_orderings_path(mode, variant), _meta_report_path(mode, variant)]
             outputs += [_meta_model_path(mode, variant, t) for t in names]
             inputs = [FEATURES_CSV, *_downstream_outputs(variant, cfg["downstream"]["seeds"])]
@@ -615,15 +610,13 @@ _STAGE_BUILDERS = {
 }
 
 
-def plan(ws: Workspace, cfg: dict, upto: str = "report",
-         only_mode: str | None = None, only_variant: str | None = None) -> list:
+def plan(ws: Workspace, cfg: dict, upto: str = "report") -> list:
     """(stage, phases) of every stage through `upto`, in run order.
 
     Planning reads no workspace file, so a plan made before the run starts
     is the plan the run executes.
     """
-    return [(stage, _meta_jobs(ws, cfg, only_mode, only_variant) if stage == "meta"
-             else _STAGE_BUILDERS[stage](ws, cfg))
+    return [(stage, _STAGE_BUILDERS[stage](ws, cfg))
             for stage in STAGES[: STAGES.index(upto) + 1]]
 
 
@@ -643,8 +636,7 @@ def _last_uses(stages) -> list:
 
 
 def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
-                 n_jobs: int = 1, only_mode: str | None = None,
-                 only_variant: str | None = None) -> dict:
+                 n_jobs: int = 1) -> dict:
     """Run stages through `upto` in dependency order, skipping fresh work.
 
     Returns {stage: StageResult}. Identical config and seeds produce
@@ -652,15 +644,13 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
     `n_jobs` is an upper bound: only a downstream stage whose fits are big
     enough (POOL_STEP_WORK) runs its jobs on that many threads; every other
     stage runs its jobs serially.
-    `only_mode`/`only_variant` narrow which meta models get built without
-    touching any job's key, so a later full run reuses everything.
     The run holds the workspace's lock throughout, and releases each kept
     object when the last stage that reads its file ends.
     """
     if upto not in STAGES:
         raise ValidationError(f"unknown stage {upto!r}")
     _check_stages(resolved, upto)
-    stages = plan(ws, resolved, upto, only_mode, only_variant)
+    stages = plan(ws, resolved, upto)
     dead_after = _last_uses(stages)
     results = {}
     with ws.lock():
@@ -670,8 +660,8 @@ def run_pipeline(ws: Workspace, resolved: dict, upto: str = "report",
             stage, phases = stages.pop(0)
             results[stage] = _run_phases(ws, resolved, stage, phases, n_jobs)
             ws.release(dead_after.pop(0))
-        if upto == STAGES[-1] and only_mode is None and only_variant is None:
-            # Only a full run lists every output the config asks for.
+        if upto == STAGES[-1]:
+            # Only a run through report lists every output the config asks for.
             ws.prune(rel for r in results.values() for rel in r.built + r.skipped)
     return results
 

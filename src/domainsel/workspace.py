@@ -141,10 +141,14 @@ class Workspace:
         The lock is an exclusive `flock` on the workspace directory, so it
         leaves no file behind and ends with the process. A second holder,
         in this process or another, gets a ValidationError naming the
-        workspace.
+        workspace, and so does a root that cannot be a directory.
         """
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.root, os.O_RDONLY)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.root, os.O_RDONLY)
+        except OSError as e:
+            raise ValidationError(
+                f"workspace {self.root} is not a usable directory: {e.strerror}") from None
         try:
             try:
                 fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -258,13 +262,9 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
     Jobs must be independent of each other; with n_jobs > 1 they run on a
     thread pool, which cannot change any numeric output because every job
     derives its randomness from its own recorded seed. Threads pay only for
-    jobs that spend their time in long GIL-free numpy calls, so
-    `pipeline.run_pipeline` passes n_jobs > 1 only to a downstream stage
-    whose widest pair classifier does at least `pipeline.POOL_STEP_WORK`
-    (rows per step times parameters) per training step: on 2 vCPUs, 2
-    threads saved a sixth of the stage at 2.50M and a quarter at 3.28M, but
-    nothing at 1.71M and below, at up to 1.4x the CPU (the measured table
-    is next to the constant and in the README).
+    jobs that spend their time in long GIL-free numpy calls; see
+    `pipeline.POOL_STEP_WORK` for when `pipeline.run_pipeline` passes
+    n_jobs > 1.
     """
     manifest = ws.load_manifest()
     artifacts = manifest["artifacts"]

@@ -256,9 +256,6 @@ class TestStageCommands:
         assert_kept()
         assert main(["meta", "--mode", "ranker", *args]) == 0
         assert_kept()
-        resolved = resolve_config(validate_config(SMALL_CONFIG))
-        run_pipeline(Workspace(ws2), resolved, only_variant="none")  # through report
-        assert_kept()
         assert main(["report", *args]) == 0
         assert not (ws2 / old_model).exists() and not (ws2 / old_sda).exists()
         assert (ws2 / "notes.txt").read_text() == "mine"
@@ -340,6 +337,31 @@ def test_all_variants_byte_identical_under_threads(tmp_path, monkeypatch):
         assert f"downstream/f1_{variant}_mean.csv" in hashes["1"]
     assert any(rel.startswith("adapt/sda/") for rel in hashes["1"])
     assert hashes["2"] == hashes["1"]
+
+
+def test_meta_variant_builds_only_its_chain(tmp_path):
+    """`meta --variant none` on an all-variant world builds only what its
+    models read: no adapt model and no adapted F1 matrix. Each file it
+    writes, and its manifest entry, is what an unrestricted build writes,
+    so a later unrestricted `meta` ends at the cold build, file for file."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    ws, cold = tmp_path / "ws", tmp_path / "cold"
+    assert main(["meta", "--workspace", str(ws), "--config", str(cfg_path),
+                 "--variant", "none"]) == 0
+    narrowed = tree_hashes(ws)
+    assert not (ws / "adapt").exists()
+    assert not [rel for rel in narrowed if re.match(r"downstream/f1_(sda|msda|msdar)_", rel)]
+    assert {"meta/predictor_none_orderings.csv", "meta/ranker_none_orderings.csv"} <= set(narrowed)
+    assert main(["meta", "--workspace", str(cold), "--config", str(cfg_path)]) == 0
+    full = tree_hashes(cold)
+    del narrowed["manifest.json"]
+    assert narrowed == {rel: full[rel] for rel in narrowed}
+    recorded = json.loads((ws / "manifest.json").read_text())["artifacts"]
+    cold_recorded = json.loads((cold / "manifest.json").read_text())["artifacts"]
+    assert recorded == {rel: cold_recorded[rel] for rel in recorded}
+    assert main(["meta", "--workspace", str(ws), "--config", str(cfg_path)]) == 0
+    assert tree_hashes(ws) == full
 
 
 def test_pool_rule_by_step_work():
@@ -868,6 +890,39 @@ class TestErrors:
         assert rc == 1
         assert "msdar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    def test_workspace_that_cannot_be_a_directory(self, tmp_path, capsys, under):
+        (tmp_path / "taken").write_text("mine")
+        ws = tmp_path / "taken" / "ws" if under else tmp_path / "taken"
+        assert main(["synth", "--workspace", str(ws), "--config", str(self.tiny(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert f"error: workspace {ws} is not a usable directory" in err
+        assert (tmp_path / "taken").read_text() == "mine"
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        rc = main(["synth", "--workspace", str(tmp_path / "ws"), "--config", str(tmp_path)])
+        assert rc == 1
+        assert f"error: config file {tmp_path} cannot be read: Is a directory" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
+    def test_report_out_that_is_a_file_fails_before_the_build(self, tmp_path, capsys):
+        out = tmp_path / "tables"
+        out.write_text("mine")
+        ws = tmp_path / "ws"
+        for target in (out, out / "sub"):
+            rc = main(["report", "--workspace", str(ws), "--config", str(self.tiny(tmp_path)),
+                       "--out", str(target)])
+            assert rc == 1
+            assert f"error: --out {target}: {out} is not a directory" in capsys.readouterr().err
+            assert not ws.exists()
+
+    @staticmethod
+    def tiny(tmp_path) -> Path:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(tiny_world(2)))
+        return cfg
+
     def test_corrupt_f1_matrix_fails_its_meta_job(self, world, tmp_path, capsys):
         """A damaged F1 file is reported by the job that reads it, not when
         the meta stage derives its job keys from the success labels."""
@@ -1078,15 +1133,24 @@ class TestIngest:
         assert "left -> right" in caplog.text and "right -> left" in caplog.text
 
     def test_missing_source_file_is_validation_error(self, tmp_path, capsys):
+        """A source that is missing, a directory or not UTF-8 is bad input:
+        exit 1 with the file named, not a failed computation."""
+        (tmp_path / "folder.jsonl").mkdir()
+        (tmp_path / "latin1.tsv").write_bytes(b"text_a\ttext_b\tlabel\ncaf\xe9\tbar\t1\n")
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "data": {"mode": "ingest",
-                     "sources": [{"name": "a", "path": str(tmp_path / "gone.jsonl"),
-                                  "format": "jsonl"}]}
-        }))
-        rc = main(["ingest", "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
-        assert rc in (1, 2)
-        assert "gone.jsonl" in capsys.readouterr().err
+        for source, problem in [("gone.jsonl", "cannot be read: No such file or directory"),
+                                ("folder.jsonl", "cannot be read: Is a directory"),
+                                ("latin1.tsv", "is not UTF-8")]:
+            path = tmp_path / source
+            cfg.write_text(json.dumps({
+                "data": {"mode": "ingest",
+                         "sources": [{"name": "a", "path": str(path),
+                                      "format": path.suffix[1:]}]}
+            }))
+            rc = main(["ingest", "--workspace", str(tmp_path / "ws"), "--config", str(cfg)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"stage 'data', artifact 'a': corpus source {path} {problem}" in err
 
     def test_empty_split_fails_in_the_data_stage(self, jsonl_world, tmp_path, capsys):
         """Twelve records (six per label) leave the test split empty: the data

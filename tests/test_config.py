@@ -1,5 +1,6 @@
 """Config validation, merging, seed resolution, and config hashing."""
 import json
+import re
 
 import pytest
 
@@ -148,6 +149,18 @@ class TestLoad:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="JSON"):
+            load_config(path)
+
+    def test_directory_is_validation_error(self, tmp_path):
+        message = f"config file {tmp_path} cannot be read: Is a directory"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_config(tmp_path)
+
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "caf\xe9"}')
+        message = f"config file {path} is not valid JSON"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             load_config(path)
 
 
