@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -218,7 +217,8 @@ class AdaptModel:
         """One JSON header line, padded so that the arrays start 8-byte
         aligned, then every parameter array as raw little-endian float64.
 
-        Written to a temporary file and renamed into place.
+        Written in place: `workspace.run_stage` unrecords a job's outputs
+        before it rebuilds them, so a write killed halfway is rebuilt.
         """
         if self.variant == "sda":
             arrays = [layer[k] for layer in self.params["layers"] for k in SDA_ARRAYS]
@@ -234,12 +234,10 @@ class AdaptModel:
             header["loss_curves"] = [list(curve) for curve in self.loss_curves]
         line = json.dumps(header).encode("utf-8")
         line += b" " * (-(len(line) + 1) % 8) + b"\n"
-        tmp = f"{path}.tmp"
-        with open(tmp, "wb") as f:
+        with open(path, "wb") as f:
             f.write(line)
             for a in arrays:
                 f.write(np.ascontiguousarray(a, dtype="<f8"))
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path) -> "AdaptModel":

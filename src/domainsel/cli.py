@@ -97,8 +97,7 @@ def _narrow_meta(resolved: dict, args) -> None:
     """Narrow `adapt.variants` and `meta.modes` to `meta --variant/--mode`.
     No job key reads either list, so a later full run reuses what this builds."""
     if args.variant:
-        # `dt` is the plain decision-tree baseline: meta models over
-        # unadapted representations.
+        # `dt` is plain transfer with no adaptation, which is variant `none`.
         variant = "none" if args.variant == "dt" else args.variant
         if variant not in resolved["adapt"]["variants"]:
             raise ValidationError(

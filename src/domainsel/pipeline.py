@@ -33,7 +33,7 @@ from .downstream import (
     success_labels,
 )
 from .embed import EmbeddingTable, train_skipgram
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .gbdt import GBDTParams
 from .meta import (
     domain_ranker,
@@ -47,7 +47,7 @@ from .ngram_lm import TrigramLM, train_kn
 from .report import build_table1, build_table2, pca_export, true_ordering
 from .simfeat import feature_vector, load_feature_matrix, save_feature_matrix
 from .synth import spec_from_config, synth_domain, synth_names
-from .workspace import Job, Memo, StageResult, Workspace, file_sha256, run_stage
+from .workspace import Job, Memo, StageResult, Workspace, file_sha256, run_stage, wrap_error
 
 log = logging.getLogger(__name__)
 
@@ -312,31 +312,33 @@ def _train_sentences(*names) -> list:
 
 
 def _adapt_jobs(ws: Workspace, cfg: dict) -> list:
+    """One job per adapted variant: every pair reads train sentences of the
+    one global table, which a train edit of any domain retrains."""
     names = domain_names(cfg)
     seed = cfg["adapt"]["seed"]
     settings = {k: cfg["adapt"][k] for k in CONFIG_FIELDS}
 
-    def make(variant, s, t):
+    def make(variant):
         def build():
             # Each domain's pooled train sentences, one column per sentence.
-            X_s, X_t = (np.concatenate(_read_sentences(ws, n, "train")).T for n in (s, t))
+            X = {n: np.concatenate(_read_sentences(ws, n, "train")).T for n in names}
             adapt_cfg = AdaptConfig(variant, **settings)
-            if variant == "sda":
-                model = train_sda(X_s, X_t, adapt_cfg,
-                                  seed=child_seed(seed, variant, s, t))
-            else:
-                model = stack_marginalized(X_s, X_t, adapt_cfg)
-            model.save(ws.path(_adapt_path(variant, s, t)))
+            for s, t in _adapted_pairs(variant, names):
+                try:
+                    if variant == "sda":
+                        model = train_sda(X[s], X[t], adapt_cfg,
+                                          seed=child_seed(seed, variant, s, t))
+                    else:
+                        model = stack_marginalized(X[s], X[t], adapt_cfg)
+                except ComputationError as e:
+                    raise wrap_error("adapt", f"{variant}:{s}->{t}", e) from e
+                model.save(ws.path(_adapt_path(variant, s, t)))
         return build
 
-    # The plan holds these D^2 x variants jobs from the start of the run, so
-    # they share their values per variant and their input paths per domain.
-    reads = {v: dict(settings, variant=v, seed=seed) for v in cfg["adapt"]["variants"]}
-    train = {n: _train_sentences(n) for n in names}
     jobs = [
-        (Job([_adapt_path(v, s, t)], make(v, s, t), note=f"{v}:{s}->{t}"),
-         reads[v], train[s] + train[t])
-        for v in cfg["adapt"]["variants"] for s, t in _adapted_pairs(v, names)
+        (Job([_adapt_path(v, s, t) for s, t in _adapted_pairs(v, names)], make(v), note=v),
+         dict(settings, variant=v, seed=seed), _train_sentences(*names))
+        for v in cfg["adapt"]["variants"] if v != "none"
     ]
     return [jobs] if jobs else []
 

@@ -243,13 +243,13 @@ def _run_job(ws: Workspace, stage: str, job: Job) -> None:
         raise StageError(stage, missing[0], "builder did not produce its output")
 
 
-def _wrap_error(stage: str, job: Job, e: Exception):
-    label = job.note or job.outputs[0]
+def wrap_error(stage: str, label: str, e: Exception):
+    """`e` as the error of the stage's artifact `label`, keeping its exit code."""
     if isinstance(e, ValidationError):
         return ValidationError(f"stage '{stage}', artifact '{label}': {e}")
     if isinstance(e, StageError):
         return e
-    return StageError(stage, str(label), f"{type(e).__name__}: {e}")
+    return StageError(stage, label, f"{type(e).__name__}: {e}")
 
 
 def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
@@ -308,7 +308,7 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
                 try:
                     _run_job(ws, stage, job)
                 except Exception as e:
-                    raise _wrap_error(stage, job, e) from e
+                    raise wrap_error(stage, job.note or job.outputs[0], e) from e
                 record(job)
         else:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -319,7 +319,7 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
                         future.result()
                     except Exception as e:  # noqa: BLE001 - rewrapped below
                         if first_error is None:
-                            first_error = _wrap_error(stage, job, e)
+                            first_error = wrap_error(stage, job.note or job.outputs[0], e)
                     else:
                         record(job)
             if first_error is not None:

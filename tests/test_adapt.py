@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import domainsel.adapt as adapt_mod
 from domainsel.adapt import (
     AdaptConfig,
     AdaptModel,
@@ -322,20 +321,18 @@ class TestEncodeAndPersistence:
         # The arrays start 8-byte aligned after the header line.
         assert (len(header) + 1) % 8 == 0
 
-    def test_save_replaces_a_temporary_file(self, tmp_path, monkeypatch):
-        renames = []
-        real = adapt_mod.os.replace
-
-        def recorded(src, dst):
-            renames.append((str(src), str(dst)))
-            return real(src, dst)
-
-        monkeypatch.setattr(adapt_mod.os, "replace", recorded)
+    def test_save_writes_its_file_in_place(self, tmp_path):
+        """No temporary file and no rename: the workspace unrecords a job's
+        outputs before rebuilding them, so a killed write is rebuilt."""
         path = tmp_path / "model.bin"
-        self.marginalized().save(path)
-        assert len(renames) == 1
-        assert renames[0][1] == str(path) and renames[0][0] != str(path)
+        path.write_bytes(b"an older model")
+        inode = path.stat().st_ino
+        model = self.marginalized()
+        model.save(path)
+        assert path.stat().st_ino == inode
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        assert AdaptModel.load(path).params["mapping"][1].tobytes() == \
+            model.params["mapping"][1].tobytes()
 
     @staticmethod
     def marginalized():

@@ -16,8 +16,10 @@ import pytest
 
 import domainsel
 from domainsel.cli import main
-from domainsel.config import load_config, resolve_config, validate_config
+from domainsel.config import child_seed, load_config, resolve_config, validate_config
+from domainsel.corpus import DomainCorpus
 from domainsel.downstream import load_f1_matrix, success_labels
+from domainsel.errors import ComputationError
 from domainsel.pipeline import run_pipeline
 from domainsel.simfeat import load_feature_matrix
 from domainsel.synth import SyntheticSpec, spec_from_config, synth_domain
@@ -538,6 +540,34 @@ def test_adapt_reads_each_domain_once(tmp_path, monkeypatch):
     _run("downstream", tmp_path / "cold", tmp_path)
     assert loads == []
     assert writeable and not any(writeable)
+
+
+def test_failing_adapt_pair_is_named_and_leaves_its_variant_unrecorded(
+        tmp_path, monkeypatch, capsys):
+    """One job writes every model of a variant. A pair that fails is named
+    by variant and pair, and none of that variant's models stay recorded."""
+    import domainsel.pipeline as pipeline_mod
+
+    real = pipeline_mod.train_sda
+    adapt_seed = resolve_config(validate_config(VARIANTS_CONFIG))["adapt"]["seed"]
+    bad_seed = child_seed(adapt_seed, "sda", "syn01", "syn02")
+
+    def failing(X_s, X_t, cfg, seed=0):
+        if seed == bad_seed:
+            raise ComputationError("sda layer 0: training diverged")
+        return real(X_s, X_t, cfg, seed=seed)
+
+    monkeypatch.setattr(pipeline_mod, "train_sda", failing)
+    cfg = merged(VARIANTS_CONFIG, {"adapt": {"variants": ["none", "sda", "msda"]}})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ws = tmp_path / "ws"
+    assert main(["adapt", "--workspace", str(ws), "--config", str(cfg_path)]) == 2
+    assert ("stage 'adapt', artifact 'sda:syn01->syn02': ComputationError: "
+            "sda layer 0: training diverged") in capsys.readouterr().err
+    recorded = json.loads((ws / "manifest.json").read_text())["artifacts"]
+    assert not [rel for rel in recorded if rel.startswith("adapt/sda/")]
+    assert not list((ws / "adapt" / "sda").glob("*"))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -1208,6 +1238,39 @@ class TestIngest:
         assert built(run_pipeline(ws, resolved, upto="data")) == {"corpora/chat.json"}
         assert ws.path("corpora/chat.json").read_bytes() != before
         assert built(run_pipeline(ws, resolved, upto="data")) == set()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_one_text_edit_rebuilds_all_adapt_models_or_none(self, jsonl_world, tmp_path,
+                                                             split):
+        """Every adapt pair reads train sentences of the one global table, so
+        a train text edit of one source rebuilds every model of every adapted
+        variant, and a test text edit rebuilds none: the reason each variant
+        is one adapt job."""
+        _, cfg_path = jsonl_world
+        cfg = json.loads(cfg_path.read_text())
+        for src in cfg["data"]["sources"]:
+            src["path"] = str(shutil.copy(src["path"], tmp_path))
+        cfg["adapt"] = {"variants": ["none", "sda", "msda"], "layers": 2, "sda_epochs": 1}
+        resolved = resolve_config(validate_config(cfg))
+        ws = Workspace(tmp_path / "ws")
+        models = set(run_pipeline(ws, resolved, upto="adapt")["adapt"].built)
+        assert len(models) == 12  # sda and msda, 6 ordered pairs each
+        # Swap the texts of the first record in `split` of one source.
+        splits = DomainCorpus.load(ws.path("corpora/law.json")).splits
+        source = tmp_path / "law.jsonl"
+        lines = source.read_text().splitlines(keepends=True)
+        i = splits.index(split)
+        record = json.loads(lines[i])
+        record["text_a"], record["text_b"] = record["text_b"], record["text_a"]
+        lines[i] = json.dumps(record) + "\n"
+        source.write_text("".join(lines))
+        results = run_pipeline(ws, resolved, upto="adapt")
+        assert results["data"].built == ["corpora/law.json"]
+        adapt = results["adapt"]
+        if split == "train":
+            assert (set(adapt.built), adapt.skipped) == (models, [])
+        else:
+            assert (adapt.built, set(adapt.skipped)) == ([], models)
 
 
 def built(results) -> set:

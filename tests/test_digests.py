@@ -12,12 +12,12 @@ A change that moves bytes on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_digests.py
 
-and lists the moved files in CHANGES.md.
+which prints to stdout, per world, the paths whose sha256 differs from the
+record it overwrites; CHANGES.md lists them.
 """
 import hashlib
 import json
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -110,7 +110,11 @@ if __name__ == "__main__":
     for name in sorted(WORLDS):
         with tempfile.TemporaryDirectory() as tmp:
             files = build(name, Path(tmp) / "build")
+        path = DIGESTS / f"{name}.json"
+        old = json.loads(path.read_text(encoding="utf-8"))["files"] if path.exists() else {}
         record = {"environment": environment(), "files": files}
-        (DIGESTS / f"{name}.json").write_text(
-            json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"{name}: {len(files)} files", file=sys.stderr)
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        changed = moved(files, old)
+        print(f"{name}: {len(files)} files, {len(changed)} moved")
+        for rel in changed:
+            print(f"  {rel}")
