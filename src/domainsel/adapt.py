@@ -8,6 +8,8 @@ reconstructions toward the source side.
 
 Marginalized corruption is feature dropout with probability p; the bias row
 is never dropped. All second-moment matrices are sums over columns.
+
+A trained model is its `arrays`, the tuple that its file stores in order.
 """
 from __future__ import annotations
 
@@ -58,9 +60,6 @@ class AdaptConfig:
 # read from the `adapt` config section, and a saved model's "config" keys.
 CONFIG_FIELDS = tuple(f.name for f in fields(AdaptConfig) if f.name != "variant")
 
-# The arrays of one sda layer, in their order in a saved model.
-SDA_ARRAYS = ("w1", "b1", "w2", "b2", "noise_std")
-
 
 def _param_shapes(cfg: AdaptConfig, input_dim: int) -> list:
     """Shapes of a model's parameter arrays, in their order in a saved model."""
@@ -87,6 +86,23 @@ def _solve_right(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
         ) from e
 
 
+def _jittered(A: np.ndarray) -> np.ndarray:
+    """A plus a ridge of RIDGE_JITTER times its mean diagonal entry."""
+    return A + (RIDGE_JITTER * np.trace(A) / len(A)) * np.eye(len(A))
+
+
+def _refined(solve, apply, rhs: np.ndarray) -> np.ndarray:
+    """W with apply(W) = rhs, from `solve`, a jittered inverse of `apply`;
+    residual refinement removes the jitter's bias from the solution."""
+    W = solve(rhs)
+    for _ in range(REFINE_ROUNDS):
+        residual = rhs - apply(W)
+        if np.linalg.norm(residual) < 1e-9:
+            break
+        W = W + solve(residual)
+    return W
+
+
 def _corruption_moments(Xb: np.ndarray, dropout_p: float):
     """Q (full), P (feature rows) of the marginalized dropout moments of Xb.
 
@@ -110,15 +126,8 @@ def msda_layer(X: np.ndarray, dropout_p: float) -> np.ndarray:
         raise ValidationError(f"msda_layer needs >= 2 columns, got {n}")
     Xb = _with_bias(X)
     Q, P, _ = _corruption_moments(Xb, dropout_p)
-    Q_j = Q + (RIDGE_JITTER * np.trace(Q) / (d + 1)) * np.eye(d + 1)
-    # Residual refinement removes the jitter bias from the solution.
-    W = _solve_right(Q_j, P, "msda_layer")
-    for _ in range(REFINE_ROUNDS):
-        residual = P - W @ Q
-        if np.linalg.norm(residual) < 1e-9:
-            break
-        W = W + _solve_right(Q_j, residual, "msda_layer")
-    return W
+    Q_j = _jittered(Q)
+    return _refined(lambda B: _solve_right(Q_j, B, "msda_layer"), lambda W: W @ Q, P)
 
 
 def fit_domain_classifier(X_s: np.ndarray, X_t: np.ndarray,
@@ -140,7 +149,7 @@ def msdar_layer(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> np.ndarra
         W Q + lam u u^T W Q_t = P + lam R u m_t^T =: C
     solved by the rank-one reduction z^T = u^T C (Q + lam |u|^2 Q_t)^{-1},
     W = (C - lam u z^T Q_t) Q^{-1}, then residual-refined so the jittered
-    solves still satisfy the unjittered stationarity tightly.
+    solves still satisfy the unjittered stationarity tightly (`_refined`).
     """
     if X_s.shape[0] != X_t.shape[0]:
         raise ValidationError(
@@ -148,7 +157,6 @@ def msdar_layer(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> np.ndarra
         )
     if X_s.shape[1] == 0 or X_t.shape[1] == 0:
         raise ValidationError("msdar_layer needs non-empty source and target")
-    d = X_s.shape[0]
     lam, R = cfg.lam, cfg.reg_target
 
     Xb = _with_bias(np.hstack([X_s, X_t]))
@@ -159,38 +167,33 @@ def msdar_layer(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> np.ndarra
     u = fit_domain_classifier(X_s, X_t)
 
     C = P + lam * R * np.outer(u, m_t)
-    eye = np.eye(d + 1)
-    M = Q + lam * float(u @ u) * Q_t
-    M_j = M + (RIDGE_JITTER * np.trace(M) / (d + 1)) * eye
-    Q_j = Q + (RIDGE_JITTER * np.trace(Q) / (d + 1)) * eye
+    M_j = _jittered(Q + lam * float(u @ u) * Q_t)
+    Q_j = _jittered(Q)
 
     def solve_stationarity(rhs: np.ndarray) -> np.ndarray:
         z = np.linalg.solve(M_j, rhs.T @ u)  # z^T = u^T rhs M^{-1}
         return _solve_right(Q_j, rhs - lam * np.outer(u, z @ Q_t), "msdar_layer")
 
-    W = solve_stationarity(C)
-    for _ in range(REFINE_ROUNDS):
-        residual = C - (W @ Q + lam * np.outer(u, (u @ W) @ Q_t))
-        if np.linalg.norm(residual) < 1e-9:
-            break
-        W = W + solve_stationarity(residual)
-    return W
+    return _refined(solve_stationarity,
+                    lambda W: W @ Q + lam * np.outer(u, (u @ W) @ Q_t), C)
 
 
 class AdaptModel:
     """Trained encoder; immutable and safe for concurrent encode calls.
 
+    `arrays` are the parameters in their file order (`_param_shapes`): w1,
+    b1, w2, b2, noise_std per sda layer, the map W per marginalized layer;
+    a loaded model's are read-only views over the file's bytes.
     `loss_curves` holds an sda model's per-layer training losses (the
     untrained loss, then one per epoch); it is saved with the model and
     never read by `encode`.
     """
 
-    def __init__(self, cfg: AdaptConfig, input_dim: int, params: dict,
-                 loss_curves=()):
+    def __init__(self, cfg: AdaptConfig, input_dim: int, arrays, loss_curves=()):
         self.cfg = cfg
         self.variant = cfg.variant
         self.input_dim = input_dim
-        self.params = params
+        self.arrays = tuple(arrays)
         self.loss_curves = loss_curves
 
     def encode(self, X: np.ndarray) -> np.ndarray:
@@ -202,12 +205,12 @@ class AdaptModel:
             return X
         if self.variant == "sda":
             H = X
-            for layer in self.params["layers"]:
-                H = np.tanh(layer["w1"] @ H + layer["b1"][:, None])
+            for w1, b1 in zip(self.arrays[0::5], self.arrays[1::5]):
+                H = np.tanh(w1 @ H + b1[:, None])
             return H
         outputs = [X]
         H = X
-        for W in self.params["mapping"]:
+        for W in self.arrays:
             out = W @ _with_bias(H)
             outputs.append(out)
             H = np.tanh(out)
@@ -220,15 +223,11 @@ class AdaptModel:
         Written in place: `workspace.run_stage` unrecords a job's outputs
         before it rebuilds them, so a write killed halfway is rebuilt.
         """
-        if self.variant == "sda":
-            arrays = [layer[k] for layer in self.params["layers"] for k in SDA_ARRAYS]
-        else:
-            arrays = list(self.params.get("mapping", ()))
         header = {
             "variant": self.variant,
             "config": {name: getattr(self.cfg, name) for name in CONFIG_FIELDS},
             "input_dim": self.input_dim,
-            "shapes": [list(a.shape) for a in arrays],
+            "shapes": [list(a.shape) for a in self.arrays],
         }
         if self.loss_curves:
             header["loss_curves"] = [list(curve) for curve in self.loss_curves]
@@ -236,7 +235,7 @@ class AdaptModel:
         line += b" " * (-(len(line) + 1) % 8) + b"\n"
         with open(path, "wb") as f:
             f.write(line)
-            for a in arrays:
+            for a in self.arrays:
                 f.write(np.ascontiguousarray(a, dtype="<f8"))
 
     @classmethod
@@ -271,15 +270,7 @@ class AdaptModel:
         for shape, size in zip(shapes, sizes):
             arrays.append(np.frombuffer(data, "<f8", size, offset).reshape(shape))
             offset += 8 * size
-        if cfg.variant == "sda":
-            k = len(SDA_ARRAYS)
-            params = {"layers": [dict(zip(SDA_ARRAYS, arrays[i : i + k]))
-                                 for i in range(0, len(arrays), k)]}
-        elif cfg.variant in ("msda", "msdar"):
-            params = {"mapping": arrays}
-        else:
-            params = {}
-        return cls(cfg, input_dim, params, curves)
+        return cls(cfg, input_dim, arrays, curves)
 
 
 def stack_marginalized(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> AdaptModel:
@@ -298,7 +289,7 @@ def stack_marginalized(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig) -> Ad
         mapping.append(W)
         h_s = np.tanh(W @ _with_bias(h_s))
         h_t = np.tanh(W @ _with_bias(h_t))
-    return AdaptModel(cfg, X_s.shape[0], {"mapping": mapping})
+    return AdaptModel(cfg, X_s.shape[0], mapping)
 
 
 def _dae_loss(w1, b1, w2, b2, H_in, H_ref):
@@ -320,7 +311,7 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
     rng = np.random.default_rng(seed)
     H = np.hstack([X_s, X_t])
     d, n = H.shape
-    layers = []
+    arrays = []
     curves = []
     for k in range(cfg.layers):
         dk = H.shape[0]
@@ -358,10 +349,10 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
                 )
             curve.append(loss)
         curves.append(tuple(curve))
-        layers.append({"w1": w1, "b1": b1, "w2": w2, "b2": b2, "noise_std": noise_std})
+        arrays.extend((w1, b1, w2, b2, noise_std))
         H = np.tanh(w1 @ H + b1[:, None])
     log.debug("sda trained: %s", ["%.4f->%.4f" % (c[0], c[-1]) for c in curves])
-    return AdaptModel(cfg, d, {"layers": layers}, curves)
+    return AdaptModel(cfg, d, arrays, curves)
 
 
 def encode(model: AdaptModel, X: np.ndarray) -> np.ndarray:

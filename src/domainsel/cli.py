@@ -136,6 +136,11 @@ def run(args) -> int:
         first = next(p for p in (out, *out.parents) if p.exists())
         if not first.is_dir():
             raise ValidationError(f"--out {args.out}: {first} is not a directory")
+        # A copy into the workspace would overwrite the files it copies, or
+        # its manifest.
+        out = out.resolve()
+        if Path(args.workspace).resolve() in (out, *out.parents):
+            raise ValidationError(f"--out {args.out} is inside the workspace {args.workspace}")
     from .pipeline import run_pipeline  # loads numpy; the checks above do not
 
     ws = Workspace(args.workspace)

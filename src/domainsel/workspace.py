@@ -252,6 +252,15 @@ def wrap_error(stage: str, label: str, e: Exception):
     return StageError(stage, label, f"{type(e).__name__}: {e}")
 
 
+def _raise_for(stage: str, job: Job, e: Exception):
+    """Raise `e` as `job`'s error, chained from `e`; a StageError already
+    names its artifact, and is raised as it is, with its own cause."""
+    wrapped = wrap_error(stage, job.note or job.outputs[0], e)
+    if wrapped is e:
+        raise e
+    raise wrapped from e
+
+
 def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
               n_jobs: int = 1, seed: int | None = None) -> StageResult:
     """Run the stale subset of `jobs`, then record outputs in the manifest.
@@ -265,6 +274,11 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
     jobs that spend their time in long GIL-free numpy calls; see
     `pipeline.POOL_STEP_WORK` for when `pipeline.run_pipeline` passes
     n_jobs > 1.
+
+    A failure raises the error of the first failing job in `jobs` order
+    (`_raise_for`). Jobs that completed stay recorded: run serially, that is
+    every job before the failing one; on the pool, every sibling that
+    completed, after it too.
     """
     manifest = ws.load_manifest()
     artifacts = manifest["artifacts"]
@@ -308,22 +322,22 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
                 try:
                     _run_job(ws, stage, job)
                 except Exception as e:
-                    raise wrap_error(stage, job.note or job.outputs[0], e) from e
+                    _raise_for(stage, job, e)
                 record(job)
         else:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 futures = [(job, pool.submit(_run_job, ws, stage, job)) for job in pending]
-                first_error = None
+                failed = None
                 for job, future in futures:
                     try:
                         future.result()
                     except Exception as e:  # noqa: BLE001 - rewrapped below
-                        if first_error is None:
-                            first_error = wrap_error(stage, job.note or job.outputs[0], e)
+                        if failed is None:
+                            failed = (job, e)
                     else:
                         record(job)
-            if first_error is not None:
-                raise first_error
+            if failed is not None:
+                _raise_for(stage, *failed)
     finally:
         # Completed sibling jobs stay recorded even when one job fails.
         ws.save_manifest(manifest)

@@ -251,11 +251,11 @@ class TestTrainSda:
 class TestEncodeAndPersistence:
     def test_none_is_identity(self):
         X = np.arange(12.0).reshape(3, 4)
-        model = AdaptModel(AdaptConfig(variant="none"), 3, {})
+        model = AdaptModel(AdaptConfig(variant="none"), 3, ())
         assert encode(model, X) is X
 
     def test_dim_mismatch_rejected(self):
-        model = AdaptModel(AdaptConfig(variant="none"), 3, {})
+        model = AdaptModel(AdaptConfig(variant="none"), 3, ())
         with pytest.raises(ValidationError, match="rows"):
             encode(model, np.ones((4, 2)))
 
@@ -263,14 +263,17 @@ class TestEncodeAndPersistence:
         rng = np.random.default_rng(37)
         X_s = rng.normal(size=(5, 30))
         X_t = rng.normal(size=(5, 30))
-        cfg = AdaptConfig(variant="msdar", layers=2, dropout_p=0.6, lam=1.0)
-        model = stack_marginalized(X_s, X_t, cfg)
-        loaded = self.roundtrip(model, tmp_path)
-        assert loaded.encode(X_t).shape == (15, 30)  # the input and two layers
-        assert loaded.loss_curves == []
-        for got, want in zip(loaded.params["mapping"], model.params["mapping"], strict=True):
-            self.assert_bit_equal_read_only(got, want)
-        np.testing.assert_array_equal(loaded.encode(X_t), model.encode(X_t))
+        for variant in ("msda", "msdar"):
+            cfg = AdaptConfig(variant=variant, layers=2, dropout_p=0.6, lam=1.0)
+            model = stack_marginalized(X_s, X_t, cfg)
+            loaded = self.roundtrip(model, tmp_path)
+            assert loaded.variant == variant
+            assert loaded.encode(X_t).shape == (15, 30)  # the input and two layers
+            assert loaded.loss_curves == []
+            assert len(loaded.arrays) == cfg.layers
+            for got, want in zip(loaded.arrays, model.arrays, strict=True):
+                self.assert_bit_equal_read_only(got, want)
+            np.testing.assert_array_equal(loaded.encode(X_t), model.encode(X_t))
 
     def test_sda_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -281,14 +284,13 @@ class TestEncodeAndPersistence:
         loaded = self.roundtrip(model, tmp_path)
         assert loaded.cfg == model.cfg
         assert loaded.loss_curves == model.loss_curves
-        for got, want in zip(loaded.params["layers"], model.params["layers"], strict=True):
-            assert got.keys() == want.keys()
-            for key in want:
-                self.assert_bit_equal_read_only(got[key], want[key])
+        assert len(loaded.arrays) == 5 * cfg.layers  # w1, b1, w2, b2, noise_std
+        for got, want in zip(loaded.arrays, model.arrays, strict=True):
+            self.assert_bit_equal_read_only(got, want)
         np.testing.assert_array_equal(loaded.encode(X_t), model.encode(X_t))
 
     def test_none_roundtrip(self, tmp_path):
-        model = AdaptModel(AdaptConfig(variant="none"), 3, {})
+        model = AdaptModel(AdaptConfig(variant="none"), 3, ())
         loaded = self.roundtrip(model, tmp_path)
         assert loaded.variant == "none" and loaded.input_dim == 3
 
@@ -331,8 +333,7 @@ class TestEncodeAndPersistence:
         model.save(path)
         assert path.stat().st_ino == inode
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        assert AdaptModel.load(path).params["mapping"][1].tobytes() == \
-            model.params["mapping"][1].tobytes()
+        assert AdaptModel.load(path).arrays[1].tobytes() == model.arrays[1].tobytes()
 
     @staticmethod
     def marginalized():

@@ -947,6 +947,27 @@ class TestErrors:
             assert f"error: --out {target}: {out} is not a directory" in capsys.readouterr().err
             assert not ws.exists()
 
+    @pytest.mark.parametrize("under", [".", "report", "report/..", "new/dir"])
+    def test_report_out_inside_the_workspace_fails_before_the_build(
+            self, world, tmp_path, capsys, monkeypatch, under):
+        """A copy into the workspace would overwrite its own files or its
+        manifest; it is refused before the pipeline loads."""
+        ws = tmp_path / "ws"
+        shutil.copytree(world[0], ws)
+        before = tree_hashes(ws)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+        monkeypatch.setattr("domainsel.pipeline.run_pipeline", no_build)
+        target = ws / under
+        rc = main(["report", "--workspace", str(ws), "--config", str(world[1]),
+                   "--out", str(target)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {target} is inside the workspace {ws}\n"
+        assert tree_hashes(ws) == before
+        assert not (ws / "new").exists()
+
     @staticmethod
     def tiny(tmp_path) -> Path:
         cfg = tmp_path / "config.json"

@@ -111,7 +111,7 @@ def reference_train_sda(X_s, X_t, cfg, seed):
     rng = np.random.default_rng(seed)
     H = np.hstack([X_s, X_t])
     _, n = H.shape
-    layers, curves = [], []
+    arrays, curves = [], []
     for _k in range(cfg.layers):
         dk = H.shape[0]
         noise_std = cfg.noise_scale * H.std(axis=1)
@@ -139,9 +139,9 @@ def reference_train_sda(X_s, X_t, cfg, seed):
                 opt.step([g_w1, g_b1, g_w2, g_b2])
             curve.append(_dae_loss(w1, b1, w2, b2, H, H))
         curves.append(tuple(curve))
-        layers.append({"w1": w1, "b1": b1, "w2": w2, "b2": b2, "noise_std": noise_std})
+        arrays.extend((w1, b1, w2, b2, noise_std))
         H = np.tanh(w1 @ H + b1[:, None])
-    return layers, curves
+    return arrays, curves
 
 
 class TestAdam:
@@ -239,11 +239,10 @@ class TestTrainingLoopsBitEqual:
             cfg = AdaptConfig(variant="sda", layers=layers, sda_epochs=4,
                               sda_batch=batch, sda_lr=0.01)
             got = train_sda(X_s, X_t, cfg, seed=seed)
-            want_layers, want_curves = reference_train_sda(X_s, X_t, cfg, seed)
+            want_arrays, want_curves = reference_train_sda(X_s, X_t, cfg, seed)
             assert got.loss_curves == want_curves
-            for layer, want in zip(got.params["layers"], want_layers):
-                for key in want:
-                    assert layer[key].tobytes() == want[key].tobytes()
+            for a, b in zip(got.arrays, want_arrays, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def fit_bytes(X, y, Xv, yv, seed, hidden=(8, 4), lr=0.01, draws=None):
