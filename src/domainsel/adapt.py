@@ -324,30 +324,32 @@ def train_sda(X_s: np.ndarray, X_t: np.ndarray, cfg: AdaptConfig, seed: int = 0)
         w1, b1, w2, b2 = opt.params  # views that opt.step updates in place
         g_w1, g_b1, g_w2, g_b2 = opt.grads  # views that opt.step consumes
         curve = [_dae_loss(w1, b1, w2, b2, H, H)]
-        for _epoch in range(cfg.sda_epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.sda_batch):
-                cols = order[start : start + cfg.sda_batch]
-                clean = H[:, cols]
-                noisy = clean + noise_std[:, None] * rng.standard_normal(clean.shape)
-                m = clean.shape[1]
-                A = w1 @ noisy + b1[:, None]
-                Z = np.tanh(A)
-                out = w2 @ Z + b2[:, None]
-                err = out - clean  # d x m
-                g_out = 2.0 * err / (m * dk)
-                np.matmul(g_out, Z.T, out=g_w2)
-                g_out.sum(axis=1, out=g_b2)
-                g_z = (w2.T @ g_out) * (1.0 - Z * Z)
-                np.matmul(g_z, noisy.T, out=g_w1)
-                g_z.sum(axis=1, out=g_b1)
-                opt.step()
-            loss = _dae_loss(w1, b1, w2, b2, H, H)
-            if not np.isfinite(loss):
-                raise ComputationError(
-                    f"sda layer {k}: training diverged; reduce the step size"
-                )
-            curve.append(loss)
+        # A diverging step overflows to inf and nan; the epoch check names it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _epoch in range(cfg.sda_epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, cfg.sda_batch):
+                    cols = order[start : start + cfg.sda_batch]
+                    clean = H[:, cols]
+                    noisy = clean + noise_std[:, None] * rng.standard_normal(clean.shape)
+                    m = clean.shape[1]
+                    A = w1 @ noisy + b1[:, None]
+                    Z = np.tanh(A)
+                    out = w2 @ Z + b2[:, None]
+                    err = out - clean  # d x m
+                    g_out = 2.0 * err / (m * dk)
+                    np.matmul(g_out, Z.T, out=g_w2)
+                    g_out.sum(axis=1, out=g_b2)
+                    g_z = (w2.T @ g_out) * (1.0 - Z * Z)
+                    np.matmul(g_z, noisy.T, out=g_w1)
+                    g_z.sum(axis=1, out=g_b1)
+                    opt.step()
+                loss = _dae_loss(w1, b1, w2, b2, H, H)
+                if not np.isfinite(loss):
+                    raise ComputationError(
+                        f"sda layer {k}: training diverged; reduce the step size"
+                    )
+                curve.append(loss)
         curves.append(tuple(curve))
         arrays.extend((w1, b1, w2, b2, noise_std))
         H = np.tanh(w1 @ H + b1[:, None])

@@ -21,7 +21,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -118,16 +117,6 @@ class TrigramLM:
         bigram_types = len(keys2)
         lam1 = discount * np.count_nonzero(cont1) / bigram_types
         self._p1, = _frozen(np.maximum(cont1 - discount, 0.0) / bigram_types + lam1 * (1.0 / V))
-
-    @cached_property
-    def c2(self) -> dict:
-        """(v, w) -> count, built on first use."""
-        return dict(zip(self._grams(self._bigrams[0], 2), self._bigrams[1].tolist()))
-
-    @cached_property
-    def c3(self) -> dict:
-        """(u, v, w) -> count, built on first use."""
-        return dict(zip(self._grams(self._trigrams[0], 3), self._trigrams[1].tolist()))
 
     def _grams(self, keys, n: int):
         """The token tuple of each n-gram key, in key order."""

@@ -275,10 +275,11 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
     `pipeline.POOL_STEP_WORK` for when `pipeline.run_pipeline` passes
     n_jobs > 1.
 
-    A failure raises the error of the first failing job in `jobs` order
-    (`_raise_for`). Jobs that completed stay recorded: run serially, that is
-    every job before the failing one; on the pool, every sibling that
-    completed, after it too.
+    Results are recorded in `jobs` order, and a failure raises the error of
+    the first failing job (`_raise_for`). A failed stage records exactly the
+    jobs before its first failing job, at any n_jobs: no queued job starts
+    after the failure, and what a running one writes stays unrecorded, so
+    the next run rebuilds it.
     """
     manifest = ws.load_manifest()
     artifacts = manifest["artifacts"]
@@ -310,35 +311,25 @@ def run_stage(ws: Workspace, stage: str, keys: dict, jobs,
     if dropped:
         ws.save_manifest(manifest)
 
-    def record(job: Job) -> None:
-        for rel in job.outputs:
-            artifacts[rel] = {"stage": stage, "key": keys[job.outputs[0]], "seed": seed}
-        result.built.extend(job.outputs)
+    def attempt(job: Job):
+        """The job's error, or None once it built its outputs."""
+        try:
+            _run_job(ws, stage, job)
+        except Exception as e:  # noqa: BLE001 - raised in jobs order below
+            return e
+        return None
 
     log.info("stage %s: building %d jobs", stage, len(pending))
+    pool = ThreadPoolExecutor(max_workers=n_jobs) if n_jobs > 1 and len(pending) > 1 else None
     try:
-        if n_jobs <= 1 or len(pending) == 1:
-            for job in pending:
-                try:
-                    _run_job(ws, stage, job)
-                except Exception as e:
-                    _raise_for(stage, job, e)
-                record(job)
-        else:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                futures = [(job, pool.submit(_run_job, ws, stage, job)) for job in pending]
-                failed = None
-                for job, future in futures:
-                    try:
-                        future.result()
-                    except Exception as e:  # noqa: BLE001 - rewrapped below
-                        if failed is None:
-                            failed = (job, e)
-                    else:
-                        record(job)
-            if failed is not None:
-                _raise_for(stage, *failed)
+        for job, error in zip(pending, (pool.map if pool else map)(attempt, pending)):
+            if error is not None:
+                _raise_for(stage, job, error)
+            for rel in job.outputs:
+                artifacts[rel] = {"stage": stage, "key": keys[job.outputs[0]], "seed": seed}
+            result.built.extend(job.outputs)
     finally:
-        # Completed sibling jobs stay recorded even when one job fails.
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         ws.save_manifest(manifest)
     return result

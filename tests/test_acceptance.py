@@ -218,7 +218,7 @@ def _pair_corpus(name, sentences):
     return DomainCorpus(name=name, examples=examples)
 
 
-def test_criterion_5_kn_validity():
+def test_criterion_5_kn_validity(saved_counts):
     t0 = time.time()
     rng = np.random.default_rng(7)
     vocab = [f"tok{i}" for i in range(30)]  # fixture vocab stays under 50
@@ -228,6 +228,7 @@ def test_criterion_5_kn_validity():
     ]
     corpus = _pair_corpus("fixture", sentences)
     lm = train_kn(corpus)
+    c3 = saved_counts(lm)[1]
     toks = sorted(lm.vocab)
     assert len(toks) <= 50
 
@@ -241,7 +242,7 @@ def test_criterion_5_kn_validity():
     for u in toks:
         for v in toks:
             for w in toks:
-                if (u, v, w) not in lm.c3:
+                if (u, v, w) not in c3:
                     unseen = lm.prob(u, v, w)
                     break
             if unseen:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from domainsel.adapt import (
     stack_marginalized,
     train_sda,
 )
-from domainsel.errors import ValidationError
+from domainsel.errors import ComputationError, ValidationError
 
 
 def column_moments(X, p):
@@ -246,6 +247,13 @@ class TestTrainSda:
     def test_variant_checked(self):
         with pytest.raises(ValidationError, match="variant"):
             train_sda(np.ones((2, 4)), np.ones((2, 4)), AdaptConfig(variant="msda"))
+
+    def test_divergence_is_a_named_error_without_warnings(self):
+        X_s, X_t = self.make_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ComputationError, match="sda layer 0: training diverged"):
+                train_sda(X_s, X_t, self.cfg(sda_lr=1e300, sda_epochs=2), seed=0)
 
 
 class TestEncodeAndPersistence:

@@ -341,6 +341,40 @@ def test_all_variants_byte_identical_under_threads(tmp_path, monkeypatch):
     assert hashes["2"] == hashes["1"]
 
 
+def test_failed_downstream_records_the_same_at_any_jobs(tmp_path, monkeypatch, capsys):
+    """A failing `msda` job ends `downstream` with exit 2 and leaves the same
+    manifest.json bytes at --jobs 1 and on the --jobs 2 pool: the variant
+    jobs before it (`none`, `sda`) recorded, `msda` and `msdar` not."""
+    import domainsel.pipeline as pipeline_mod
+
+    open_pool(monkeypatch)
+    threads, real = {}, pipeline_mod.cross_domain_matrix
+
+    def failing(names, data, variant, *args, **kwargs):
+        threads[variant] = threading.get_ident()
+        if variant == "msda":
+            raise RuntimeError("boom")
+        return real(names, data, variant, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "cross_domain_matrix", failing)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(VARIANTS_CONFIG))
+    manifests = {}
+    for jobs in ("1", "2"):
+        threads.clear()
+        ws = tmp_path / f"ws{jobs}"
+        assert main(["downstream", "--workspace", str(ws), "--config", str(cfg_path),
+                     "--jobs", jobs]) == 2
+        assert "error: stage 'downstream', artifact 'msda': RuntimeError: boom" in \
+            capsys.readouterr().err
+        assert (threading.get_ident() in threads.values()) == (jobs == "1")
+        manifests[jobs] = (ws / "manifest.json").read_bytes()
+    recorded = json.loads(manifests["1"])["artifacts"]
+    assert {re.match(r"downstream/f1_([a-z]+)", rel)[1] for rel, entry in recorded.items()
+            if entry["stage"] == "downstream"} == {"none", "sda"}
+    assert manifests["2"] == manifests["1"]
+
+
 def test_meta_variant_builds_only_its_chain(tmp_path):
     """`meta --variant none` on an all-variant world builds only what its
     models read: no adapt model and no adapted F1 matrix. Each file it
